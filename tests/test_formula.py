@@ -5,15 +5,7 @@ import random
 
 import pytest
 
-from spbmaxsat.formula import (
-    INF,
-    Assignment,
-    Formula,
-    ParseError,
-    cost,
-    obj,
-    parse_wcnf,
-)
+from spbmaxsat.formula import INF, Assignment, Formula, ParseError, parse_wcnf
 
 from gen import random_parts, render_new, render_old
 
@@ -79,11 +71,11 @@ class TestParsing:
 
     def test_comments_and_blank_lines(self):
         f = parse_wcnf("c comment\n\np wcnf 1 1 5\nc another\n1 1 0\n")
-        assert f.num_vars == 1 and f.num_soft == 1
+        assert f.num_vars == 1 and len(f.soft) == 1
 
     def test_weight_above_top_is_hard(self):
         f = parse_wcnf("p wcnf 1 1 5\n9 1 0\n")
-        assert f.num_hard == 1 and f.num_soft == 0
+        assert len(f.hard) == 1 and len(f.soft) == 0
 
     def test_clause_before_header(self):
         # First significant line decides the format: this parses as the
@@ -103,7 +95,7 @@ class TestParsing:
 
     def test_tautology_dropped_and_weight_excluded(self):
         f = parse_wcnf("h 1 -1 0\n4 2 -2 0\n3 2 0\n")
-        assert f.num_hard == 0
+        assert len(f.hard) == 0
         assert f.soft == ((2,),)
         assert f.total_soft_weight == 3
 
@@ -119,26 +111,54 @@ class TestParsing:
         assert f.total_soft_weight == 6
 
 
+# (text, kind, line number, message) for error branches that the tests
+# above and acceptance criterion 7 leave open.
+PARSE_ERRORS = [
+    ("p wcnf 1 1 5\np wcnf 1 1 5\n1 1 0\n", "header", 2, "duplicate problem header"),
+    ("c x\np wcnf -1 1 5\n", "header", 2, "header values out of range"),
+    ("p wcnf 1 1 0\n1 1 0\n", "header", 1, "header values out of range"),
+    ("p wcnf x 1 5\n", "header", 1, "invalid variable count: 'x'"),
+    ("p wcnf 1 1 5\nx 1 0\n", "clause", 2, "invalid clause weight: 'x'"),
+    ("1 1 0\n\n2.5 1 0\n", "clause", 3, "invalid clause weight: '2.5'"),
+    ("p wcnf 1 1 5\nh 1 0\n", "clause", 2, "invalid clause weight: 'h'"),
+    ("p wcnf 2 1 5\n5 1 a 0\n", "clause", 2, "invalid literal: 'a'"),
+    ("h 1 a 0\n", "clause", 1, "invalid literal: 'a'"),
+    ("p cnf 1 1\n1 0\n", "header", 1, "malformed header: 'p cnf 1 1'"),
+    ("pwcnf 1 1 5\n1 1 0\n", "header", 1, "clause before 'p wcnf' header"),
+    ("p wcnf 2 1 5\n0 3 0\n", "var-range", 2, "variable 3 exceeds declared count 2"),
+    ("x 1\n", "clause", 1, "invalid clause weight: 'x'"),
+    ("1 1 0\n0 1\n", "terminator", 2, "clause line missing terminating 0"),
+]
+
+
+@pytest.mark.parametrize("text, kind, line_no, message", PARSE_ERRORS)
+def test_parse_error_kind_line_and_message(text, kind, line_no, message):
+    with pytest.raises(ParseError) as exc:
+        parse_wcnf(text)
+    assert (exc.value.kind, exc.value.line_no, str(exc.value)) == \
+        (kind, line_no, f"line {line_no}: {message}")
+
+
 class TestEvaluation:
     def test_obj_examples(self):
         f = parse_wcnf(F1_OLD)
-        assert obj(f, a(1, 0)) == 2
-        assert obj(f, a(0, 1)) == 5
+        assert f.obj(a(1, 0).values) == 2
+        assert f.obj(a(0, 1).values) == 5
 
     def test_obj_no_soft(self):
         f = Formula(2, [[1, 2]], [])
-        assert obj(f, a(0, 0)) == 0
+        assert f.obj(a(0, 0).values) == 0
 
     def test_cost_examples(self):
         f = parse_wcnf(F1_OLD)
-        assert cost(f, a(1, 0)) == 2
-        assert cost(f, a(0, 0)) == INF
+        assert f.cost(a(1, 0).values) == 2
+        assert f.cost(a(0, 0).values) == INF
 
     def test_cost_without_hard_clauses(self):
         f = Formula(2, [], [(2, [-1]), (5, [-2])])
         for values in ([0, 0], [0, 1], [1, 0], [1, 1]):
             va = Assignment.from_values([0, *values])
-            assert cost(f, va) == obj(f, va)
+            assert f.cost(va.values) == f.obj(va.values)
 
     def test_obj_plus_satisfied_equals_total(self):
         rng = random.Random(11)

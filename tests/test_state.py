@@ -13,11 +13,8 @@ from spbmaxsat.state import (
     SearchState,
     SpbConstraint,
     flip,
-    hscore,
     recompute_from_scratch,
     score,
-    score_view,
-    spbscore,
 )
 
 from gen import assert_state_matches_scratch, random_parts
@@ -38,37 +35,36 @@ class TestScores:
     def test_hscore_breaking(self):
         f = Formula(2, [[1, 2]], [])
         s = make_state(f, (1, 0), hard_weights=[3.0])
-        assert hscore(s, 1) == -3.0
-        assert hscore(s, 2) == 0.0
+        assert s.hscore[1] == -3.0
+        assert s.hscore[2] == 0.0
 
     def test_hscore_making(self):
         f = Formula(2, [[1, 2]], [])
         s = make_state(f, (0, 0), hard_weights=[3.0])
-        assert hscore(s, 1) == 3.0
+        assert s.hscore[1] == 3.0
 
     def test_spbscore(self):
         f = Formula(2, [], [(2, [-1]), (5, [-2])])
         s = make_state(f, (1, 0), spb_weight=4.0)
-        assert spbscore(s, 1) == 4 * (2 - 0)
-        assert spbscore(s, 2) == 4 * (2 - 7)
+        assert s.spb.weight * s.softdelta[1] == 4 * (2 - 0)
+        assert s.spb.weight * s.softdelta[2] == 4 * (2 - 7)
 
     def test_spbscore_weight_one_is_softdelta(self):
         f = Formula(2, [], [(2, [-1]), (5, [-2])])
         s = make_state(f, (1, 0))
-        assert spbscore(s, 1) == s.softdelta[1]
+        assert s.spb.weight * s.softdelta[1] == s.softdelta[1]
 
     def test_score_is_sum(self):
         f = Formula(2, [[1, 2]], [(2, [-1]), (5, [-2])])
         s = make_state(f, (1, 0), hard_weights=[3.0], spb_weight=4.0)
         assert score(s, 1) == -3 + 8 == 5
         assert score(s, 2) == 0 - 20 == -20
-        assert score_view(s, 1) == (1, 5.0)
 
     def test_score_without_hard(self):
         f = Formula(2, [], [(2, [-1]), (5, [-2])])
         s = make_state(f, (1, 0), spb_weight=4.0)
         for v in (1, 2):
-            assert score(s, v) == spbscore(s, v)
+            assert score(s, v) == s.spb.weight * s.softdelta[v]
 
 
 class TestFlip:
