@@ -7,7 +7,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -205,7 +205,6 @@ def run_benchmark(
         for path in instances:
             job_cfg = cfg
             if time_limit is not None and cfg.cutoff_seconds is None and cfg.max_flips is None:
-                from dataclasses import replace
                 job_cfg = replace(cfg, cutoff_seconds=time_limit)
             jobs.append((path, label, job_cfg))
 

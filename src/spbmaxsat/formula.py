@@ -148,14 +148,6 @@ class Formula:
                 raise ValueError(f"literal {lit} out of range [1, {self.num_vars}]")
 
     @property
-    def num_hard(self) -> int:
-        return len(self.hard)
-
-    @property
-    def num_soft(self) -> int:
-        return len(self.soft)
-
-    @property
     def is_pms(self) -> bool:
         """True when every soft clause carries unit weight."""
         return all(w == 1 for w in self.soft_weights)
@@ -184,14 +176,6 @@ class Formula:
         return self.obj(values) if self.hard_satisfied(values) else INF
 
 
-def obj(f: Formula, a: Assignment) -> int:
-    return f.obj(a.values)
-
-
-def cost(f: Formula, a: Assignment):
-    return f.cost(a.values)
-
-
 def _parse_int(token: str, kind: str, msg: str, line_no: int) -> int:
     try:
         return int(token)
@@ -217,27 +201,21 @@ def parse_wcnf(source) -> Formula:
 
     Classic: "p wcnf <num_vars> <num_clauses> <top>" followed by
     "<weight> <lit>... 0" lines, weight >= top meaning hard. Headerless:
-    "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft. Comment lines
-    start with "c". The format is auto-detected from the first significant
-    line.
+    "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft, num_vars being
+    the largest variable mentioned. Comment lines start with "c". The format
+    is auto-detected from the first significant line.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     lines = source.splitlines()
 
-    first_sig = None
+    classic = False
     for raw in lines:
         stripped = raw.strip()
         if stripped and not stripped.startswith("c"):
-            first_sig = stripped
+            classic = stripped.startswith("p")
             break
-    if first_sig is not None and first_sig.startswith("p"):
-        return _parse_old(lines)
-    return _parse_new(lines)
-
-
-def _parse_old(lines: List[str]) -> Formula:
-    num_vars = None
+    num_vars = None if classic else 0
     top = None
     hard: List[List[int]] = []
     soft: List[Tuple[int, List[int]]] = []
@@ -248,7 +226,7 @@ def _parse_old(lines: List[str]) -> Formula:
         if not line or line.startswith("c"):
             continue
         tokens = line.split()
-        if tokens[0] == "p":
+        if classic and tokens[0] == "p":
             if num_vars is not None:
                 raise ParseError("header", "duplicate problem header", line_no)
             if len(tokens) != 5 or tokens[1] != "wcnf":
@@ -261,54 +239,28 @@ def _parse_old(lines: List[str]) -> Formula:
             continue
         if num_vars is None:
             raise ParseError("header", "clause before 'p wcnf' header", line_no)
-        weight = _parse_int(tokens[0], "clause", "invalid clause weight", line_no)
+        is_hard = not classic and tokens[0] == "h"
+        if not is_hard:
+            weight = _parse_int(tokens[0], "clause", "invalid clause weight", line_no)
         lits = _split_clause_tokens(tokens[1:], line_no)
         for lit in lits:
             if abs(lit) > num_vars:
-                raise ParseError(
-                    "var-range", f"variable {abs(lit)} exceeds declared count {num_vars}", line_no
-                )
-        if weight >= top:
-            hard.append(lits)
-        else:
-            if weight < 1:
-                raise ParseError("soft-weight", f"soft clause weight must be positive, got {weight}", line_no)
-            running_total += weight
-            if running_total > MAX_TOTAL_SOFT_WEIGHT:
-                raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
-            soft.append((weight, lits))
-
-    if num_vars is None:
-        raise ParseError("header", "missing 'p wcnf' header")
-    return Formula(num_vars, hard, soft)
-
-
-def _parse_new(lines: List[str]) -> Formula:
-    hard: List[List[int]] = []
-    soft: List[Tuple[int, List[int]]] = []
-    num_vars = 0
-    running_total = 0
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "h":
-            lits = _split_clause_tokens(tokens[1:], line_no)
-            hard.append(lits)
-        else:
-            weight = _parse_int(tokens[0], "clause", "invalid clause weight", line_no)
-            lits = _split_clause_tokens(tokens[1:], line_no)
-            if weight < 1:
-                raise ParseError("soft-weight", f"soft clause weight must be positive, got {weight}", line_no)
-            running_total += weight
-            if running_total > MAX_TOTAL_SOFT_WEIGHT:
-                raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
-            soft.append((weight, lits))
-        for lit in lits:
-            if abs(lit) > num_vars:
+                if classic:
+                    raise ParseError(
+                        "var-range", f"variable {abs(lit)} exceeds declared count {num_vars}", line_no
+                    )
                 num_vars = abs(lit)
+        if classic:
+            is_hard = weight >= top
+        if is_hard:
+            hard.append(lits)
+            continue
+        if weight < 1:
+            raise ParseError("soft-weight", f"soft clause weight must be positive, got {weight}", line_no)
+        running_total += weight
+        if running_total > MAX_TOTAL_SOFT_WEIGHT:
+            raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
+        soft.append((weight, lits))
 
     return Formula(num_vars, hard, soft)
 

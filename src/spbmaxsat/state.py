@@ -8,7 +8,7 @@ rebuild below serves as the independent correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, Optional
 
 from .formula import INF, Assignment, Formula
 
@@ -54,9 +54,6 @@ class IndexSet:
             self.members.pop()
             self.pos[x] = -1
 
-    def __contains__(self, x: int) -> bool:
-        return self.pos[x] >= 0
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -64,17 +61,11 @@ class IndexSet:
         return set(self.members)
 
 
-class ScoreView(NamedTuple):
-    variable: int
-    score: float
-
-
 class SearchState:
     """Mutable solver state over one shared immutable Formula."""
 
     __slots__ = (
         "formula",
-        "assignment",
         "values",
         "flip_stamp",
         "step",
@@ -101,7 +92,6 @@ class SearchState:
         if len(assignment.values) != formula.num_vars + 1:
             raise ValueError("assignment length does not match variable count")
         self.formula = formula
-        self.assignment = assignment
         self.values = assignment.values
         self.flip_stamp = assignment.flip_stamp
         self.step = step
@@ -114,97 +104,92 @@ class SearchState:
         f = self.formula
         n = f.num_vars
         values = self.values
-        self.sat_count_hard = [0] * len(f.hard)
-        self.sat_var_hard = [0] * len(f.hard)
-        self.sat_count_soft = [0] * len(f.soft)
-        self.sat_var_soft = [0] * len(f.soft)
-        self.falsified_hard = IndexSet(len(f.hard))
-        self.falsified_soft = IndexSet(len(f.soft))
         self.hscore = [0.0] * (n + 1)
         self.softdelta = [0] * (n + 1)
-        obj = f.soft_base
-
-        for cid, lits in enumerate(f.hard):
-            cnt = 0
-            sat_v = 0
-            for lit in lits:
-                if values[lit] if lit > 0 else not values[-lit]:
-                    cnt += 1
-                    sat_v = abs(lit)
-            self.sat_count_hard[cid] = cnt
-            w = self.hard_weight[cid]
-            if cnt == 0:
-                self.falsified_hard.add(cid)
-                for v in f.hard_vars[cid]:
-                    self.hscore[v] += w
-            elif cnt == 1:
-                self.sat_var_hard[cid] = sat_v
-                self.hscore[sat_v] -= w
-
-        for cid, lits in enumerate(f.soft):
-            cnt = 0
-            sat_v = 0
-            for lit in lits:
-                if values[lit] if lit > 0 else not values[-lit]:
-                    cnt += 1
-                    sat_v = abs(lit)
-            self.sat_count_soft[cid] = cnt
-            w = f.soft_weights[cid]
-            if cnt == 0:
-                self.falsified_soft.add(cid)
-                obj += w
-                for v in f.soft_vars[cid]:
-                    self.softdelta[v] += w
-            elif cnt == 1:
-                self.sat_var_soft[cid] = sat_v
-                self.softdelta[sat_v] -= w
-
-        self.current_obj = obj
+        self.sat_count_hard, self.sat_var_hard, self.falsified_hard, _ = _build_kind(
+            values, f.hard, f.hard_vars, self.hard_weight, self.hscore)
+        self.sat_count_soft, self.sat_var_soft, self.falsified_soft, soft_falsified = _build_kind(
+            values, f.soft, f.soft_vars, f.soft_weights, self.softdelta)
+        self.current_obj = f.soft_base + soft_falsified
         self.pos_softdelta = IndexSet(n + 1)
-        for v in range(1, n + 1):
-            if self.softdelta[v] > 0:
-                self.pos_softdelta.add(v)
         self.goodvars = IndexSet(n + 1)
-        w_spb = self.spb.weight
-        for v in range(1, n + 1):
-            if self.hscore[v] + w_spb * self.softdelta[v] > EPS:
-                self.goodvars.add(v)
+        refresh_candidacy(self, range(1, n + 1))
 
 
-def hscore(state: SearchState, v: int) -> float:
-    """Drop in total dynamic weight of falsified hard clauses if v is flipped."""
-    return state.hscore[v]
+def _build_kind(values, clauses, clause_vars, weights, scores):
+    """Satisfied-literal bookkeeping of one clause kind (hard or soft).
 
-
-def spbscore(state: SearchState, v: int) -> float:
-    """SPB weight times the objective decrease caused by flipping v."""
-    return state.spb.weight * state.softdelta[v]
+    Adds each clause's make/break weight into scores and returns its
+    satisfied-literal counts, sole satisfying variables, falsified set
+    and falsified weight total.
+    """
+    count = [0] * len(clauses)
+    sat_var = [0] * len(clauses)
+    falsified = IndexSet(len(clauses))
+    falsified_weight = 0
+    for cid, lits in enumerate(clauses):
+        cnt = 0
+        sat_v = 0
+        for lit in lits:
+            if values[lit] if lit > 0 else not values[-lit]:
+                cnt += 1
+                sat_v = abs(lit)
+        count[cid] = cnt
+        w = weights[cid]
+        if cnt == 0:
+            falsified.add(cid)
+            falsified_weight += w
+            for v in clause_vars[cid]:
+                scores[v] += w
+        elif cnt == 1:
+            sat_var[cid] = sat_v
+            scores[sat_v] -= w
+    return count, sat_var, falsified, falsified_weight
 
 
 def score(state: SearchState, v: int) -> float:
     return state.hscore[v] + state.spb.weight * state.softdelta[v]
 
 
-def score_view(state: SearchState, v: int) -> ScoreView:
-    return ScoreView(v, score(state, v))
-
-
 def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
-    """Re-test goodvars/pos_softdelta membership for the given variables."""
+    """Re-test goodvars/pos_softdelta membership for the given variables.
+
+    The IndexSet add/discard is inlined on its lists for speed; repeated
+    variables are idempotent.
+    """
     hs = state.hscore
-    sd = state.softdelta
-    w = state.spb.weight
-    gv = state.goodvars
-    psd = state.pos_softdelta
+    sds = state.softdelta
+    w_spb = state.spb.weight
+    gv_pos = state.goodvars.pos
+    gv_members = state.goodvars.members
+    psd_pos = state.pos_softdelta.pos
+    psd_members = state.pos_softdelta.members
     for u in variables:
-        if hs[u] + w * sd[u] > EPS:
-            gv.add(u)
+        sd = sds[u]
+        if hs[u] + w_spb * sd > EPS:
+            if gv_pos[u] < 0:
+                gv_pos[u] = len(gv_members)
+                gv_members.append(u)
         else:
-            gv.discard(u)
-        if sd[u] > 0:
-            psd.add(u)
+            i = gv_pos[u]
+            if i >= 0:
+                last = gv_members[-1]
+                gv_members[i] = last
+                gv_pos[last] = i
+                gv_members.pop()
+                gv_pos[u] = -1
+        if sd > 0:
+            if psd_pos[u] < 0:
+                psd_pos[u] = len(psd_members)
+                psd_members.append(u)
         else:
-            psd.discard(u)
+            i = psd_pos[u]
+            if i >= 0:
+                last = psd_members[-1]
+                psd_members[i] = last
+                psd_pos[last] = i
+                psd_members.pop()
+                psd_pos[u] = -1
 
 
 def flip(state: SearchState, v: int) -> None:
@@ -328,41 +313,7 @@ def flip(state: SearchState, v: int) -> None:
             sat_count_s[cid] = n - 1
 
     state.current_obj = obj
-
-    # Candidacy pass, inlined for speed; duplicates in touched are idempotent.
-    w_spb = state.spb.weight
-    gv = state.goodvars
-    gv_pos = gv.pos
-    gv_members = gv.members
-    psd = state.pos_softdelta
-    psd_pos = psd.pos
-    psd_members = psd.members
-    for u in touched:
-        sd = softdelta_[u]
-        if hscore_[u] + w_spb * sd > EPS:
-            if gv_pos[u] < 0:
-                gv_pos[u] = len(gv_members)
-                gv_members.append(u)
-        else:
-            i = gv_pos[u]
-            if i >= 0:
-                last = gv_members[-1]
-                gv_members[i] = last
-                gv_pos[last] = i
-                gv_members.pop()
-                gv_pos[u] = -1
-        if sd > 0:
-            if psd_pos[u] < 0:
-                psd_pos[u] = len(psd_members)
-                psd_members.append(u)
-        else:
-            i = psd_pos[u]
-            if i >= 0:
-                last = psd_members[-1]
-                psd_members[i] = last
-                psd_pos[last] = i
-                psd_members.pop()
-                psd_pos[u] = -1
+    refresh_candidacy(state, touched)
 
 
 def recompute_from_scratch(formula: Formula, assignment: Assignment,
@@ -372,8 +323,8 @@ def recompute_from_scratch(formula: Formula, assignment: Assignment,
     """Build a SearchState directly from definitions, then overwrite the score
     arrays by literal flip simulation.
 
-    Serves as the test oracle for the incremental updates: hscore(v) and
-    softdelta(v) are obtained by actually flipping v and re-evaluating the
+    Serves as the test oracle for the incremental updates: hscore[v] and
+    softdelta[v] are obtained by actually flipping v and re-evaluating the
     falsified hard weight total and obj from scratch.
     """
     spb = spb if spb is not None else SpbConstraint()

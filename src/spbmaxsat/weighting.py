@@ -12,19 +12,6 @@ MODE_CONSTANT = "constant"
 MODE_ALL_ADAPTIVE = "all_adaptive"
 MODES = (MODE_SPB, MODE_CONSTANT, MODE_ALL_ADAPTIVE)
 
-__all__ = [
-    "SpbConstraint",
-    "WeightingConfig",
-    "MODE_SPB",
-    "MODE_CONSTANT",
-    "MODE_ALL_ADAPTIVE",
-    "MODES",
-    "spb_is_falsified",
-    "update_spb_bound",
-    "spb_weighting",
-    "decay_weights",
-]
-
 
 @dataclass
 class WeightingConfig:
