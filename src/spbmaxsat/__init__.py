@@ -1,15 +1,13 @@
 """Local search solver for (weighted) partial MaxSAT built around a
 dynamically weighted soft-conflict pseudo-Boolean constraint."""
 
-from .formula import INF, Assignment, Formula, ParseError, load_wcnf, parse_wcnf
+from .formula import INF, Formula, ParseError, load_wcnf, parse_wcnf
 from .oracle import brute_force_opt
 from .search import SolveResult, SolverConfig, solve
 from .state import SearchState, SpbConstraint
-from .weighting import WeightingConfig
 
 __all__ = [
     "INF",
-    "Assignment",
     "Formula",
     "ParseError",
     "load_wcnf",
@@ -20,5 +18,4 @@ __all__ = [
     "solve",
     "SearchState",
     "SpbConstraint",
-    "WeightingConfig",
 ]

@@ -86,6 +86,9 @@ def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         return RunRecord(path, label, {}, None, None, [], 0, "error",
                          perf_counter() - t0, error=f"unreadable: {exc}", skipped=True)
+    if cfg.cutoff_seconds is not None:
+        # The time limit covers parsing: the search gets what is left.
+        cfg = replace(cfg, cutoff_seconds=max(0.0, cfg.cutoff_seconds - (perf_counter() - t0)))
     try:
         result: SolveResult = solve(formula, cfg)
     except Exception as exc:  # a crashed run scores as no-feasible

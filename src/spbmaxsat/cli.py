@@ -16,42 +16,42 @@ from typing import List, Optional, Tuple
 
 from .bench import format_report, run_benchmark
 from .dynamics import weight_dynamics, write_csv
-from .formula import INF, ParseError, load_wcnf
-from .oracle import TooManyVariables, brute_force_opt
+from .formula import INF, load_wcnf
+from .oracle import brute_force_opt
 from .search import ConfigError, SolverConfig, solve
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--max-flips", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--k", type=int, default=None, help="BMS sample count")
-    p.add_argument("--h-inc", type=float, default=None, help="hard-clause weight increment")
-    p.add_argument("--delta", type=float, default=None, help="multiplicative weight proportion")
-    p.add_argument("--mode", choices=["spb", "constant", "all-adaptive"], default="spb")
-    p.add_argument("--preset", choices=["auto", "pms", "wpms"], default="auto")
-    p.add_argument("--init", choices=["decimation", "random"], default="decimation")
-    p.add_argument("--decay-threshold", type=float, default=1e7)
-    p.add_argument("--decay-factor", type=float, default=0.5)
+    """Solver flags. They have no defaults of their own: an omitted flag is
+    None and keeps the SolverConfig default."""
+    p.add_argument("--time-limit", type=float, metavar="SECONDS")
+    p.add_argument("--max-flips", type=int, metavar="N")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int, help="BMS sample count")
+    p.add_argument("--h-inc", type=float, help="hard-clause weight increment")
+    p.add_argument("--delta", type=float, help="multiplicative weight proportion")
+    p.add_argument("--mode", choices=["spb", "constant", "all-adaptive"])
+    p.add_argument("--preset", choices=["auto", "pms", "wpms"])
+    p.add_argument("--init", choices=["decimation", "random"])
+    p.add_argument("--decay-threshold", type=float)
+    p.add_argument("--decay-factor", type=float)
 
 
 def _config_from_args(args) -> SolverConfig:
-    cutoff = args.time_limit
-    if cutoff is None and args.max_flips is None:
-        cutoff = 60.0
-    return SolverConfig(
+    given = dict(
         k=args.k,
         h_inc=args.h_inc,
         delta=args.delta,
-        mode=args.mode.replace("-", "_"),
+        mode=args.mode and args.mode.replace("-", "_"),
         decay_threshold=args.decay_threshold,
         decay_factor=args.decay_factor,
-        cutoff_seconds=cutoff,
+        cutoff_seconds=args.time_limit,
         max_flips=args.max_flips,
         seed=args.seed,
         init=args.init,
         preset=args.preset,
     )
+    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
@@ -69,17 +69,20 @@ def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
             if not label:
                 raise ConfigError(f"bad --config entry {entry!r}")
             args = parser.parse_args(shlex.split(flags))
-            cfg = _config_from_args(args)
-            if args.time_limit is None and args.max_flips is None:
-                cfg.cutoff_seconds = None  # inherit the bench-wide limit
-            out.append((label.strip(), cfg))
+            out.append((label.strip(), _config_from_args(args)))
     return out
 
 
 def cmd_solve(args) -> int:
+    start = perf_counter()
     formula = load_wcnf(args.file)
     cfg = _config_from_args(args)
     t0 = perf_counter()
+    if cfg.cutoff_seconds is None and cfg.max_flips is None:
+        cfg.cutoff_seconds = 60.0
+    if cfg.cutoff_seconds is not None:
+        # The time limit covers parsing: the search gets what is left.
+        cfg.cutoff_seconds = max(0.0, cfg.cutoff_seconds - (t0 - start))
 
     def emit(cost: int) -> None:
         print(f"o {cost}", flush=True)
@@ -178,10 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, TooManyVariables, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

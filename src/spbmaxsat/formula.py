@@ -6,7 +6,6 @@ soft clauses live in separate parallel lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 INF = float("inf")
@@ -24,22 +23,6 @@ class ParseError(ValueError):
         self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(f"{prefix}{message}")
-
-
-@dataclass
-class Assignment:
-    """Complete 0/1 valuation (index 0 unused) plus per-variable flip stamps."""
-
-    values: List[int]
-    flip_stamp: List[int]
-
-    @classmethod
-    def from_values(cls, values: Sequence[int]) -> "Assignment":
-        vals = list(values)
-        return cls(values=vals, flip_stamp=[0] * len(vals))
-
-    def copy(self) -> "Assignment":
-        return Assignment(list(self.values), list(self.flip_stamp))
 
 
 def _normalize(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:

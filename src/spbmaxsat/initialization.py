@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import List
 
-from .formula import Assignment, Formula
+from .formula import Formula
 
 
-def random_init(f: Formula, rng: random.Random) -> Assignment:
-    """Each variable independently uniform-random."""
+def random_init(f: Formula, rng: random.Random) -> List[int]:
+    """0/1 values (index 0 unused), each variable independently uniform-random."""
     values = [0] * (f.num_vars + 1)
     for v in range(1, f.num_vars + 1):
         values[v] = 1 if rng.random() < 0.5 else 0
-    return Assignment.from_values(values)
+    return values
 
 
-def decimation_init(f: Formula, rng: random.Random) -> Assignment:
-    """Assign variables one at a time with unit-clause priority.
+def decimation_init(f: Formula, rng: random.Random) -> List[int]:
+    """0/1 values (index 0 unused), assigned one variable at a time with
+    unit-clause priority.
 
     Hard unit clauses are served first (in discovery order, so conflicting
     hard units resolve first-come), then a uniformly random soft unit, then
@@ -100,4 +102,5 @@ def decimation_init(f: Formula, rng: random.Random) -> Assignment:
                 assign(v, 1 if rng.random() < 0.5 else 0)
                 break
 
-    return Assignment.from_values([0] + values[1:])
+    values[0] = 0
+    return values

@@ -10,12 +10,7 @@ from typing import Callable, List, Optional, Tuple
 from .formula import INF, Formula
 from .initialization import decimation_init, random_init
 from .state import SearchState, flip
-from .weighting import (
-    MODE_SPB,
-    WeightingConfig,
-    spb_weighting,
-    update_spb_bound,
-)
+from .weighting import MODE_SPB, MODES, spb_weighting, update_spb_bound
 
 # Tuned presets: (k, h_inc, delta). "pms" applies when every soft weight is 1.
 PRESETS = {
@@ -38,7 +33,10 @@ class SolverConfig:
     """Solver parameters; None fields are filled in from the preset.
 
     preset "auto" resolves to "pms" when every soft weight equals 1 and to
-    "wpms" otherwise.
+    "wpms" otherwise. h_inc is the additive bump for falsified hard clauses,
+    delta the multiplicative proportion for the soft-conflict weight. Mode
+    "constant" forces delta to 1 for that update; "all_adaptive" applies
+    the multiplicative rule to hard clauses as well.
     """
 
     k: Optional[int] = None
@@ -73,17 +71,17 @@ class SolverConfig:
             raise ConfigError("k must be >= 1")
         if cfg.init not in ("decimation", "random"):
             raise ConfigError(f"unknown init mode {cfg.init!r}")
-        cfg.weighting().validate()
+        if cfg.mode not in MODES:
+            raise ConfigError(f"unknown weighting mode {cfg.mode!r}")
+        if cfg.h_inc <= 0:
+            raise ConfigError("h_inc must be positive")
+        if cfg.delta < 1.0:
+            raise ConfigError("delta must be >= 1")
+        if not 0.0 < cfg.decay_factor < 1.0:
+            raise ConfigError("decay_factor must lie in (0, 1)")
+        if cfg.decay_threshold <= 1.0:
+            raise ConfigError("decay_threshold must exceed 1")
         return cfg
-
-    def weighting(self) -> WeightingConfig:
-        return WeightingConfig(
-            h_inc=self.h_inc,
-            delta=self.delta,
-            mode=self.mode,
-            decay_threshold=self.decay_threshold,
-            decay_factor=self.decay_factor,
-        )
 
 
 @dataclass
@@ -188,10 +186,9 @@ def solve(
     if formula.has_empty_hard:
         return SolveResult(None, INF, [], 0, TERM_INFEASIBLE, cfg)
 
-    assignment = decimation_init(formula, rng) if cfg.init == "decimation" \
+    values = decimation_init(formula, rng) if cfg.init == "decimation" \
         else random_init(formula, rng)
-    state = SearchState(formula, assignment)
-    wcfg = cfg.weighting()
+    state = SearchState(formula, values)
 
     best_cost = INF
     best_values: Optional[List[int]] = None
@@ -231,7 +228,7 @@ def solve(
         if goodvars:
             v = bms_pick(state, k, rng)
         else:
-            spb_weighting(state, wcfg)
+            spb_weighting(state, cfg)
             v = pick_from_falsified(state, rng)
             if v is None:
                 # Nothing falsified at all: current solution is optimal.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from .formula import INF, Assignment, Formula
+from .formula import INF, Formula
 
 # Positive-score threshold; absorbs float noise introduced by weight decay.
 EPS = 1e-9
@@ -62,7 +62,11 @@ class IndexSet:
 
 
 class SearchState:
-    """Mutable solver state over one shared immutable Formula."""
+    """Mutable solver state over one shared immutable Formula.
+
+    values holds the 0/1 assignment (index 0 unused) and is updated in
+    place by flip(); every flip stamp starts at 0.
+    """
 
     __slots__ = (
         "formula",
@@ -85,15 +89,15 @@ class SearchState:
         "pos_softdelta",
     )
 
-    def __init__(self, formula: Formula, assignment: Assignment,
+    def __init__(self, formula: Formula, values: List[int],
                  hard_weights: Optional[List[float]] = None,
                  spb: Optional[SpbConstraint] = None,
                  step: int = 1):
-        if len(assignment.values) != formula.num_vars + 1:
+        if len(values) != formula.num_vars + 1:
             raise ValueError("assignment length does not match variable count")
         self.formula = formula
-        self.values = assignment.values
-        self.flip_stamp = assignment.flip_stamp
+        self.values = values
+        self.flip_stamp = [0] * len(values)
         self.step = step
         self.hard_weight = list(hard_weights) if hard_weights is not None else [1.0] * len(formula.hard)
         self.max_hard_weight = max(self.hard_weight, default=1.0)
@@ -316,7 +320,7 @@ def flip(state: SearchState, v: int) -> None:
     refresh_candidacy(state, touched)
 
 
-def recompute_from_scratch(formula: Formula, assignment: Assignment,
+def recompute_from_scratch(formula: Formula, values: List[int],
                            hard_weights: Optional[List[float]] = None,
                            spb: Optional[SpbConstraint] = None,
                            step: int = 1) -> SearchState:
@@ -328,9 +332,9 @@ def recompute_from_scratch(formula: Formula, assignment: Assignment,
     falsified hard weight total and obj from scratch.
     """
     spb = spb if spb is not None else SpbConstraint()
-    state = SearchState(formula, assignment.copy(),
+    state = SearchState(formula, list(values),
                         hard_weights=hard_weights, spb=spb, step=step)
-    values = list(assignment.values)
+    values = list(values)
     n = formula.num_vars
 
     def falsified_hard_weight(vals) -> float:

@@ -2,44 +2,18 @@
 weighted soft-conflict constraint, and the decay safeguard."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .formula import INF
-from .state import SearchState, SpbConstraint, refresh_candidacy
+from .state import SearchState, SpbConstraint, _build_kind, refresh_candidacy
 
 MODE_SPB = "spb"
 MODE_CONSTANT = "constant"
 MODE_ALL_ADAPTIVE = "all_adaptive"
 MODES = (MODE_SPB, MODE_CONSTANT, MODE_ALL_ADAPTIVE)
 
-
-@dataclass
-class WeightingConfig:
-    """Weight-update parameters.
-
-    h_inc is the additive bump for falsified hard clauses, delta the
-    multiplicative proportion for the soft-conflict weight. Mode "constant"
-    forces delta to 1 for that update; "all_adaptive" applies the
-    multiplicative rule to hard clauses as well.
-    """
-
-    h_inc: float = 1.0
-    delta: float = 1.001
-    mode: str = MODE_SPB
-    decay_threshold: float = 1e7
-    decay_factor: float = 0.5
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown weighting mode {self.mode!r}")
-        if self.h_inc <= 0:
-            raise ValueError("h_inc must be positive")
-        if self.delta < 1.0:
-            raise ValueError("delta must be >= 1")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must lie in (0, 1)")
-        if self.decay_threshold <= 1.0:
-            raise ValueError("decay_threshold must exceed 1")
+if TYPE_CHECKING:
+    from .search import SolverConfig
 
 
 def spb_is_falsified(spb: SpbConstraint, current_obj) -> bool:
@@ -56,13 +30,14 @@ def update_spb_bound(spb: SpbConstraint, new_cost) -> None:
     spb.bound = new_cost
 
 
-def spb_weighting(state: SearchState, cfg: WeightingConfig) -> None:
+def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     """Raise the weights of everything falsified by the current assignment.
 
     Falsified hard clauses gain h_inc (or delta*(w + h_inc) in all_adaptive
     mode); if the soft-conflict constraint itself is violated, its weight is
     updated multiplicatively. Score caches are adjusted for exactly the
     variables whose score can change, then the decay trigger is checked.
+    cfg is a resolved SolverConfig.
     """
     f = state.formula
     hs = state.hscore
@@ -108,7 +83,7 @@ def spb_weighting(state: SearchState, cfg: WeightingConfig) -> None:
     decay_weights(state, cfg)
 
 
-def decay_weights(state: SearchState, cfg: WeightingConfig, force: bool = False) -> bool:
+def decay_weights(state: SearchState, cfg: SolverConfig, force: bool = False) -> bool:
     """Multiply all dynamic weights by the decay factor, clamped below at 1.
 
     No-op unless some weight exceeds the threshold (or force is set). The
@@ -134,12 +109,6 @@ def _rebuild_hard_scores(state: SearchState) -> None:
     f = state.formula
     n = f.num_vars
     hs = [0.0] * (n + 1)
-    for cid, cnt in enumerate(state.sat_count_hard):
-        if cnt == 0:
-            w = state.hard_weight[cid]
-            for u in f.hard_vars[cid]:
-                hs[u] += w
-        elif cnt == 1:
-            hs[state.sat_var_hard[cid]] -= state.hard_weight[cid]
+    _build_kind(state.values, f.hard, f.hard_vars, state.hard_weight, hs)
     state.hscore = hs
     refresh_candidacy(state, range(1, n + 1))

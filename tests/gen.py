@@ -94,11 +94,9 @@ def enumerate_opt(f: Formula):
 
 def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
     """Field-for-field comparison against the from-scratch rebuild."""
-    from spbmaxsat.formula import Assignment
-
     scratch = recompute_from_scratch(
         state.formula,
-        Assignment(list(state.values), list(state.flip_stamp)),
+        state.values,
         hard_weights=list(state.hard_weight),
         spb=type(state.spb)(state.spb.weight, state.spb.bound),
         step=state.step,

@@ -16,10 +16,10 @@ import pytest
 from spbmaxsat.bench import RunRecord, aggregate, compute_wins, mse_score
 from spbmaxsat.cli import main
 from spbmaxsat.dynamics import weight_dynamics
-from spbmaxsat.formula import INF, Assignment, Formula, ParseError, parse_wcnf
+from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
 from spbmaxsat.search import SolverConfig, solve
 from spbmaxsat.state import EPS, SearchState, SpbConstraint, flip, score
-from spbmaxsat.weighting import WeightingConfig, decay_weights, spb_weighting
+from spbmaxsat.weighting import decay_weights, spb_weighting
 
 import acceptance_jobs as jobs
 from gen import (
@@ -76,10 +76,10 @@ def test_criterion_2_incremental_consistency():
         n, hard, soft = random_parts(rng)
         f = Formula(n, hard, soft)
         values = [rng.randint(0, 1) for _ in range(n)]
-        state = SearchState(f, Assignment.from_values([0, *values]))
+        state = SearchState(f, [0, *values])
         # A finite bound makes the soft-conflict updates actually fire.
         state.spb.bound = max(1, state.current_obj)
-        cfg = WeightingConfig(h_inc=3, delta=1.001)
+        cfg = SolverConfig(h_inc=3, delta=1.001)
         weighting_at = set(rng.sample(range(1000), 50))
         decay_at = set(rng.sample(range(1000), 2))
         for step in range(1000):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -165,3 +166,19 @@ class TestRunBenchmark:
         report = run_benchmark(
             tmp_path, [("t", SolverConfig(seed=1))], time_limit=0.05)
         assert report["num_instances"] == 1
+
+    def test_time_limit_covers_parsing(self, tmp_path, monkeypatch):
+        _write_instances(tmp_path, count=1, seed=19)  # init is not optimal
+        import spbmaxsat.bench as bench_mod
+
+        load = bench_mod.load_wcnf
+
+        def slow_load(path):
+            time.sleep(0.2)
+            return load(path)
+
+        monkeypatch.setattr(bench_mod, "load_wcnf", slow_load)
+        run_benchmark(tmp_path, [("t", SolverConfig(seed=1))], time_limit=0.1,
+                      out_dir=tmp_path / "out")
+        [record] = load_records(tmp_path / "out" / "runs.jsonl")
+        assert (record.flips, record.termination) == (0, "time")

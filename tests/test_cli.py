@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+from spbmaxsat import cli
 from spbmaxsat.cli import main
 from spbmaxsat.formula import load_wcnf
 
@@ -89,6 +91,28 @@ class TestSolveCommand:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_time_limit_covers_parsing(self, f1_path, tmp_path, capsys, monkeypatch):
+        load = cli.load_wcnf
+
+        def slow_load(path):
+            time.sleep(0.2)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_wcnf", slow_load)
+        unsat = tmp_path / "u.wcnf"
+        unsat.write_text("h 1 0\nh -1 0\n1 1 0\n")
+        for path, feasible in ((f1_path, True), (str(unsat), False)):
+            assert main(["solve", path, "--time-limit", "0.1"]) == 0
+            captured = capsys.readouterr()
+            o, s, v = protocol_lines(captured.out)
+            assert "flips=0 " in captured.err
+            assert "termination=time " in captured.err
+            if feasible:
+                assert s == ["s SATISFIABLE"]
+                assert load(f1_path).cost([0] + [int(ch) for ch in v[0]]) == o[-1]
+            else:
+                assert s == ["s UNKNOWN"] and v == []
 
     def test_mode_and_param_flags(self, f1_path, capsys):
         rc = main(["solve", f1_path, "--max-flips", "4000", "--mode",

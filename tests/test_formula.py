@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from spbmaxsat.formula import INF, Assignment, Formula, ParseError, parse_wcnf
+from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
 
 from gen import random_parts, render_new, render_old
 
@@ -14,7 +14,7 @@ F1_NEW = "h 1 2 0\n2 -1 0\n5 -2 0\n"
 
 
 def a(*values):
-    return Assignment.from_values([0, *values])
+    return [0, *values]
 
 
 class TestParsing:
@@ -142,23 +142,23 @@ def test_parse_error_kind_line_and_message(text, kind, line_no, message):
 class TestEvaluation:
     def test_obj_examples(self):
         f = parse_wcnf(F1_OLD)
-        assert f.obj(a(1, 0).values) == 2
-        assert f.obj(a(0, 1).values) == 5
+        assert f.obj(a(1, 0)) == 2
+        assert f.obj(a(0, 1)) == 5
 
     def test_obj_no_soft(self):
         f = Formula(2, [[1, 2]], [])
-        assert f.obj(a(0, 0).values) == 0
+        assert f.obj(a(0, 0)) == 0
 
     def test_cost_examples(self):
         f = parse_wcnf(F1_OLD)
-        assert f.cost(a(1, 0).values) == 2
-        assert f.cost(a(0, 0).values) == INF
+        assert f.cost(a(1, 0)) == 2
+        assert f.cost(a(0, 0)) == INF
 
     def test_cost_without_hard_clauses(self):
         f = Formula(2, [], [(2, [-1]), (5, [-2])])
         for values in ([0, 0], [0, 1], [1, 0], [1, 1]):
-            va = Assignment.from_values([0, *values])
-            assert f.cost(va.values) == f.obj(va.values)
+            va = [0, *values]
+            assert f.cost(va) == f.obj(va)
 
     def test_obj_plus_satisfied_equals_total(self):
         rng = random.Random(11)

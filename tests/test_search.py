@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from spbmaxsat.formula import INF, Assignment, Formula, parse_wcnf
+from spbmaxsat.formula import INF, Formula, parse_wcnf
 from spbmaxsat.oracle import brute_force_opt
 from spbmaxsat.search import (
     ConfigError,
@@ -30,7 +30,7 @@ def state_with_scores(weights_by_var):
     n = len(weights_by_var)
     soft = [(w, [v]) for v, w in weights_by_var.items()]
     f = Formula(n, [], soft)
-    return SearchState(f, Assignment.from_values([0] + [0] * n))
+    return SearchState(f, [0] + [0] * n)
 
 
 class TestBmsPick:
@@ -57,8 +57,7 @@ class TestBmsPick:
         for _ in range(20):
             n, hard, soft = random_parts(rng)
             f = Formula(n, hard, soft)
-            s = SearchState(f, Assignment.from_values(
-                [0] + [rng.randint(0, 1) for _ in range(n)]))
+            s = SearchState(f, [0] + [rng.randint(0, 1) for _ in range(n)])
             if not s.goodvars.members:
                 continue
             v = bms_pick(s, 7, rng)
@@ -76,20 +75,19 @@ class TestBmsPick:
 class TestPickFromFalsified:
     def test_prefers_hard_and_argmax(self):
         f = Formula(2, [[1, 2]], [(2, [-1]), (5, [-2])])
-        s = SearchState(f, Assignment.from_values([0, 0, 0]),
-                        hard_weights=[3.0])
+        s = SearchState(f, [0, 0, 0], hard_weights=[3.0])
         # hard clause falsified; score(x1) = 3 - 2 = 1, score(x2) = 3 - 5 = -2
         assert score(s, 1) == 1 and score(s, 2) == -2
         assert pick_from_falsified(s, random.Random(0)) == 1
 
     def test_soft_unit_when_no_hard_falsified(self):
         f = Formula(7, [[1]], [(4, [-7])])
-        s = SearchState(f, Assignment.from_values([0, 1, 0, 0, 0, 0, 0, 1]))
+        s = SearchState(f, [0, 1, 0, 0, 0, 0, 0, 1])
         assert pick_from_falsified(s, random.Random(0)) == 7
 
     def test_none_when_everything_satisfied(self):
         f = Formula(2, [[1, 2]], [(2, [1])])
-        s = SearchState(f, Assignment.from_values([0, 1, 0]))
+        s = SearchState(f, [0, 1, 0])
         assert pick_from_falsified(s, random.Random(0)) is None
 
 

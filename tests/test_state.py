@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbmaxsat.formula import Assignment, Formula, parse_wcnf
+from spbmaxsat.formula import Formula, parse_wcnf
 from spbmaxsat.state import (
     EPS,
     SearchState,
@@ -25,7 +25,7 @@ F1 = parse_wcnf("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
 def make_state(f, values, hard_weights=None, spb_weight=1.0, spb_bound=float("inf")):
     return SearchState(
         f,
-        Assignment.from_values([0, *values]),
+        [0, *values],
         hard_weights=hard_weights,
         spb=SpbConstraint(spb_weight, spb_bound),
     )
@@ -176,7 +176,7 @@ class TestScratchOracle:
 
     def test_empty_formula(self):
         f = Formula(0, [], [])
-        s = SearchState(f, Assignment.from_values([0]))
+        s = SearchState(f, [0])
         assert s.current_obj == 0
         assert s.hscore == [0.0]
         assert s.softdelta == [0]

@@ -1,0 +1,47 @@
+"""Known search traps, pinned until a fix lands.
+
+Every case is xfail(strict=True): it fails today because of a defect in the
+search, and a change that fixes the defect turns it into an XPASS, which
+fails the run until the marker is removed.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from spbmaxsat.formula import Formula
+from spbmaxsat.search import SolverConfig, solve
+
+import acceptance_jobs as jobs
+from gen import random_parts
+from test_golden import INSTANCES
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="search trap: the run settles above the optimum")
+@pytest.mark.parametrize("idx, variant", [
+    (14, "wpms"),   # optimum 14, solver 15
+    (97, "wpms"),   # optimum 2, solver 3
+    (115, "wpms"),  # optimum 6, solver 8
+    (97, "pms"),    # optimum 1, solver 2
+])
+def test_acceptance_instance_reaches_optimum(idx, variant):
+    """Acceptance criterion 1 settings: seed 1, 100k flips."""
+    row = jobs.run_suite_job((idx, variant, True))
+    assert row["best"] == row["oracle"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="decay below the soft-weight scale stalls the search")
+def test_low_decay_threshold_still_improves():
+    """Golden weighted instance (soft weights 1..1000), seed 3, 3000 flips.
+
+    With decay_threshold 1000 the run never improves on its step-0 cost
+    36354; with 2000 or the default 1e7 it reaches 30686.
+    """
+    params = dict(INSTANCES["weighted"])
+    n, hard, soft = random_parts(random.Random(params.pop("seed")), **params)
+    result = solve(Formula(n, hard, soft),
+                   SolverConfig(seed=3, max_flips=3000, decay_threshold=1000))
+    assert result.best_cost < result.trace[0][2]

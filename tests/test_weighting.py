@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from spbmaxsat.formula import INF, Assignment, Formula
+from spbmaxsat.formula import INF, Formula
+from spbmaxsat.search import ConfigError, SolverConfig
 from spbmaxsat.state import SearchState, SpbConstraint, flip, score
 from spbmaxsat.weighting import (
     MODE_ALL_ADAPTIVE,
     MODE_CONSTANT,
-    WeightingConfig,
     decay_weights,
     spb_is_falsified,
     spb_weighting,
@@ -23,7 +23,7 @@ from gen import assert_state_matches_scratch, random_parts
 
 def make_state(f, values, **kw):
     spb = SpbConstraint(kw.pop("spb_weight", 1.0), kw.pop("spb_bound", INF))
-    return SearchState(f, Assignment.from_values([0, *values]), spb=spb, **kw)
+    return SearchState(f, [0, *values], spb=spb, **kw)
 
 
 class TestSpbConstraint:
@@ -51,27 +51,27 @@ class TestSpbWeighting:
     def test_spb_weight_update_formula(self):
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,), spb_bound=1)  # obj = 3 >= 1: falsified
-        cfg = WeightingConfig(h_inc=1, delta=1.001)
+        cfg = SolverConfig(h_inc=1, delta=1.001)
         spb_weighting(s, cfg)
         assert s.spb.weight == pytest.approx(2.002, abs=1e-12)
 
     def test_spb_weight_unchanged_when_satisfied(self):
         f = Formula(1, [], [(3, [1])])
         s = make_state(f, (1,), spb_bound=1)  # obj = 0 < 1: satisfied
-        spb_weighting(s, WeightingConfig())
+        spb_weighting(s, SolverConfig(h_inc=1, delta=1.001))
         assert s.spb.weight == 1.0
 
     def test_hard_increment(self):
         f = Formula(2, [[1, 2]], [(1, [1])])
         s = make_state(f, (0, 0))
-        spb_weighting(s, WeightingConfig(h_inc=28, delta=1.001))
+        spb_weighting(s, SolverConfig(h_inc=28, delta=1.001))
         assert s.hard_weight[0] == 29.0
         assert_state_matches_scratch(s)
 
     def test_constant_mode_is_additive(self):
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,), spb_bound=1)
-        cfg = WeightingConfig(h_inc=1, delta=1.5, mode=MODE_CONSTANT)
+        cfg = SolverConfig(h_inc=1, delta=1.5, mode=MODE_CONSTANT)
         for expected in (2.0, 3.0, 4.0):
             spb_weighting(s, cfg)
             assert s.spb.weight == expected
@@ -79,7 +79,7 @@ class TestSpbWeighting:
     def test_all_adaptive_hard_rule(self):
         f = Formula(2, [[1, 2]], [(1, [1])])
         s = make_state(f, (0, 0))
-        cfg = WeightingConfig(h_inc=2, delta=1.5, mode=MODE_ALL_ADAPTIVE)
+        cfg = SolverConfig(h_inc=2, delta=1.5, mode=MODE_ALL_ADAPTIVE)
         spb_weighting(s, cfg)
         assert s.hard_weight[0] == pytest.approx(1.5 * (1 + 2))
         assert_state_matches_scratch(s)
@@ -89,7 +89,7 @@ class TestSpbWeighting:
         n, hard, soft = random_parts(rng)
         f = Formula(n, hard, soft)
         s = make_state(f, [rng.randint(0, 1) for _ in range(n)], spb_bound=0)
-        cfg = WeightingConfig(h_inc=3, delta=1.01)
+        cfg = SolverConfig(h_inc=3, delta=1.01)
         for _ in range(50):
             prev_hard = list(s.hard_weight)
             prev_spb = s.spb.weight
@@ -101,7 +101,7 @@ class TestSpbWeighting:
     def test_rate_exceeds_delta_minus_one(self):
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,), spb_bound=1)
-        cfg = WeightingConfig(delta=1.001, decay_threshold=1e30)
+        cfg = SolverConfig(h_inc=1, delta=1.001, decay_threshold=1e30)
         for _ in range(200):
             w = s.spb.weight
             spb_weighting(s, cfg)
@@ -115,7 +115,7 @@ class TestSpbWeighting:
             f = Formula(n, hard, soft)
             s = make_state(f, [rng.randint(0, 1) for _ in range(n)],
                            spb_bound=rng.randint(1, 20))
-            cfg = WeightingConfig(h_inc=2, delta=1.1)
+            cfg = SolverConfig(h_inc=2, delta=1.1)
             for _ in range(20):
                 flip(s, rng.randint(1, n))
                 spb_weighting(s, cfg)
@@ -127,7 +127,7 @@ class TestDecay:
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,))
         s.spb.weight = 2e7
-        cfg = WeightingConfig(decay_threshold=1e7, decay_factor=0.5)
+        cfg = SolverConfig(decay_threshold=1e7, decay_factor=0.5)
         assert decay_weights(s, cfg)
         assert s.spb.weight == 1e7
 
@@ -136,7 +136,7 @@ class TestDecay:
         s = make_state(f, (0, 0))
         s.hard_weight[0] = 1.2
         s.spb.weight = 2e7
-        cfg = WeightingConfig(decay_threshold=1e7, decay_factor=0.5)
+        cfg = SolverConfig(decay_threshold=1e7, decay_factor=0.5)
         decay_weights(s, cfg)
         assert s.hard_weight[0] == 1.0
         assert_state_matches_scratch(s)
@@ -146,7 +146,7 @@ class TestDecay:
         s = make_state(f, (0, 0))
         s.hard_weight[0] = 50.0
         s.max_hard_weight = 50.0
-        assert not decay_weights(s, WeightingConfig())
+        assert not decay_weights(s, SolverConfig())
         assert s.hard_weight[0] == 50.0
 
     def test_forced_decay_keeps_state_consistent(self):
@@ -154,7 +154,7 @@ class TestDecay:
         n, hard, soft = random_parts(rng)
         f = Formula(n, hard, soft)
         s = make_state(f, [rng.randint(0, 1) for _ in range(n)], spb_bound=5)
-        cfg = WeightingConfig(h_inc=7, delta=1.2)
+        cfg = SolverConfig(h_inc=7, delta=1.2)
         for _ in range(30):
             flip(s, rng.randint(1, n))
             spb_weighting(s, cfg)
@@ -167,26 +167,27 @@ class TestDecay:
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,), spb_bound=42)
         s.spb.weight = 2e7
-        decay_weights(s, WeightingConfig())
+        decay_weights(s, SolverConfig())
         assert s.spb.bound == 42
 
     def test_triggered_automatically_from_weighting(self):
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,), spb_bound=1)
         s.spb.weight = 9.999e6
-        cfg = WeightingConfig(delta=1.5, decay_threshold=1e7, decay_factor=0.5)
+        cfg = SolverConfig(h_inc=1, delta=1.5, decay_threshold=1e7, decay_factor=0.5)
         spb_weighting(s, cfg)  # pushes above the threshold, then decays
         assert s.spb.weight <= 1e7
 
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        for kw in (
-            {"mode": "bogus"},
-            {"h_inc": 0},
-            {"delta": 0.9},
-            {"decay_factor": 1.0},
-            {"decay_threshold": 1.0},
+        f = Formula(1, [], [(3, [-1])])
+        for kw, message in (
+            ({"mode": "bogus"}, "unknown weighting mode 'bogus'"),
+            ({"h_inc": 0}, "h_inc must be positive"),
+            ({"delta": 0.9}, "delta must be >= 1"),
+            ({"decay_factor": 1.0}, r"decay_factor must lie in \(0, 1\)"),
+            ({"decay_threshold": 1.0}, "decay_threshold must exceed 1"),
         ):
-            with pytest.raises(ValueError):
-                WeightingConfig(**kw).validate()
+            with pytest.raises(ConfigError, match=message):
+                SolverConfig(max_flips=1, **kw).resolve(f)
