@@ -40,28 +40,23 @@ def decimation_init(f: Formula, rng: random.Random) -> List[int]:
     unassigned_pool = list(range(1, n + 1))
     remaining = n
 
+    kinds = (
+        (f.occ_hard_pos, f.occ_hard_neg, hard_sat, hard_unassigned, hard_units),
+        (f.occ_soft_pos, f.occ_soft_neg, soft_sat, soft_unassigned, soft_units),
+    )
+
     def assign(v: int, value: int) -> None:
         nonlocal remaining
         values[v] = value
         remaining -= 1
-        if value:
-            sat_h, fal_h = f.occ_hard_pos[v], f.occ_hard_neg[v]
-            sat_s, fal_s = f.occ_soft_pos[v], f.occ_soft_neg[v]
-        else:
-            sat_h, fal_h = f.occ_hard_neg[v], f.occ_hard_pos[v]
-            sat_s, fal_s = f.occ_soft_neg[v], f.occ_soft_pos[v]
-        for cid in sat_h:
-            hard_sat[cid] = True
-        for cid in fal_h:
-            hard_unassigned[cid] -= 1
-            if hard_unassigned[cid] == 1 and not hard_sat[cid]:
-                hard_units.append(cid)
-        for cid in sat_s:
-            soft_sat[cid] = True
-        for cid in fal_s:
-            soft_unassigned[cid] -= 1
-            if soft_unassigned[cid] == 1 and not soft_sat[cid]:
-                soft_units.append(cid)
+        for occ_pos, occ_neg, sat, unassigned, units in kinds:
+            sat_cids, fal_cids = (occ_pos[v], occ_neg[v]) if value else (occ_neg[v], occ_pos[v])
+            for cid in sat_cids:
+                sat[cid] = True
+            for cid in fal_cids:
+                unassigned[cid] -= 1
+                if unassigned[cid] == 1 and not sat[cid]:
+                    units.append(cid)
 
     def unit_literal(lits) -> int:
         for lit in lits:

@@ -143,16 +143,12 @@ def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]
     Returns None when nothing is falsified, i.e. the current assignment
     satisfies every clause and is therefore optimal.
     """
-    members = state.falsified_hard.members
-    if members:
-        cid = members[int(rng.random() * len(members))]
-        cvars = state.formula.hard_vars[cid]
-    else:
-        members = state.falsified_soft.members
+    members, clause_vars = state.falsified_hard.members, state.formula.hard_vars
+    if not members:
+        members, clause_vars = state.falsified_soft.members, state.formula.soft_vars
         if not members:
             return None
-        cid = members[int(rng.random() * len(members))]
-        cvars = state.formula.soft_vars[cid]
+    cvars = clause_vars[members[int(rng.random() * len(members))]]
     hs = state.hscore
     sd = state.softdelta
     w = state.spb.weight
