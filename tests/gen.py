@@ -3,7 +3,7 @@ and consistency checks between incremental and from-scratch states."""
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from spbmaxsat.formula import Formula
 from spbmaxsat.state import EPS, SearchState, recompute_from_scratch, score

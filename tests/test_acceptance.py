@@ -18,7 +18,7 @@ from spbmaxsat.cli import main
 from spbmaxsat.dynamics import weight_dynamics
 from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
 from spbmaxsat.search import SolverConfig, solve
-from spbmaxsat.state import EPS, SearchState, SpbConstraint, flip, score
+from spbmaxsat.state import SearchState, flip
 from spbmaxsat.weighting import decay_weights, spb_weighting
 
 import acceptance_jobs as jobs

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from spbmaxsat.dynamics import CSV_HEADER, DynamicsRow, weight_dynamics, write_csv
+from spbmaxsat.dynamics import weight_dynamics, write_csv
 
 
 def test_first_step_constant_rule():

@@ -1,0 +1,35 @@
+"""Every imported name is used: an AST check over the package and the tests.
+
+A name counts as used when it occurs as a Name node (attribute access
+such as `random.Random` starts with one) or is listed in `__all__`.
+`__future__` imports are exempt.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted([*(ROOT / "src" / "spbmaxsat").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(tree: ast.Module) -> list:
+    imported = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(imported) - used - exported)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

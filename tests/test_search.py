@@ -16,7 +16,7 @@ from spbmaxsat.search import (
     pick_from_falsified,
     solve,
 )
-from spbmaxsat.state import EPS, SearchState, SpbConstraint, score
+from spbmaxsat.state import EPS, SearchState, score
 
 from gen import random_parts
 

@@ -4,18 +4,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from spbmaxsat.formula import Formula, parse_wcnf
-from spbmaxsat.state import (
-    EPS,
-    SearchState,
-    SpbConstraint,
-    flip,
-    recompute_from_scratch,
-    score,
-)
+from spbmaxsat.state import SearchState, SpbConstraint, flip, score
 
 from gen import assert_state_matches_scratch, random_parts
 
