@@ -19,6 +19,7 @@ from .dynamics import weight_dynamics, write_csv
 from .formula import INF, load_wcnf
 from .oracle import brute_force_opt
 from .search import ConfigError, SolverConfig, solve
+from .weighting import MODES
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -30,7 +31,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="BMS sample count")
     p.add_argument("--h-inc", type=float, help="hard-clause weight increment")
     p.add_argument("--delta", type=float, help="multiplicative weight proportion")
-    p.add_argument("--mode", choices=["spb", "constant", "all-adaptive"])
+    p.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES])
     p.add_argument("--preset", choices=["auto", "pms", "wpms"])
     p.add_argument("--init", choices=["decimation", "random"])
     p.add_argument("--decay-threshold", type=float)

@@ -8,7 +8,7 @@ import pytest
 
 from spbmaxsat.formula import INF, Formula
 from spbmaxsat.search import ConfigError, SolverConfig
-from spbmaxsat.state import SearchState, SpbConstraint, flip, score
+from spbmaxsat.state import SearchState, SpbConstraint, flip
 from spbmaxsat.weighting import (
     MODE_ALL_ADAPTIVE,
     MODE_CONSTANT,
@@ -60,6 +60,17 @@ class TestSpbWeighting:
         s = make_state(f, (1,), spb_bound=1)  # obj = 0 < 1: satisfied
         spb_weighting(s, SolverConfig(h_inc=1, delta=1.001))
         assert s.spb.weight == 1.0
+
+    def test_spb_raise_admits_soft_gain_variable(self):
+        # score(1) = -5 + 1 * 3 = -2 until the SPB weight rises to 2.002;
+        # no falsified hard clause touches variable 1.
+        f = Formula(1, [[-1]], [(3, [1])])
+        s = make_state(f, (0,), hard_weights=[5.0], spb_bound=3)
+        assert s.goodvars.members == []
+        spb_weighting(s, SolverConfig(h_inc=1, delta=1.001))
+        assert s.spb.weight == pytest.approx(2.002, abs=1e-12)
+        assert s.goodvars.members == [1]
+        assert_state_matches_scratch(s)
 
     def test_hard_increment(self):
         f = Formula(2, [[1, 2]], [(1, [1])])
