@@ -1,9 +1,10 @@
 """Incremental search state: per-flip maintenance of scores and falsified sets.
 
 All derived quantities (satisfied-literal counts, falsified-clause sets,
-objective value, per-variable score ingredients) are updated in time
-proportional to the flipped variable's occurrence lists. The from-scratch
-rebuild below serves as the independent correctness oracle.
+objective value, per-variable score ingredients, the positive-score set
+goodvars) are updated in time proportional to the flipped variable's
+occurrence lists. The from-scratch rebuild below serves as the
+independent correctness oracle.
 """
 from __future__ import annotations
 
@@ -86,7 +87,6 @@ class SearchState:
         "hscore",
         "softdelta",
         "goodvars",
-        "pos_softdelta",
     )
 
     def __init__(self, formula: Formula, values: List[int],
@@ -115,7 +115,6 @@ class SearchState:
         self.sat_count_soft, self.sat_var_soft, self.falsified_soft, soft_falsified = _build_kind(
             values, f.soft, f.soft_vars, f.soft_weights, self.softdelta)
         self.current_obj = f.soft_base + soft_falsified
-        self.pos_softdelta = IndexSet(n + 1)
         self.goodvars = IndexSet(n + 1)
         refresh_candidacy(self, range(1, n + 1))
 
@@ -156,7 +155,7 @@ def score(state: SearchState, v: int) -> float:
 
 
 def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
-    """Re-test goodvars/pos_softdelta membership for the given variables.
+    """Re-test goodvars membership for the given variables.
 
     The IndexSet add/discard is inlined on its lists for speed; repeated
     variables are idempotent.
@@ -166,11 +165,8 @@ def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
     w_spb = state.spb.weight
     gv_pos = state.goodvars.pos
     gv_members = state.goodvars.members
-    psd_pos = state.pos_softdelta.pos
-    psd_members = state.pos_softdelta.members
     for u in variables:
-        sd = sds[u]
-        if hs[u] + w_spb * sd > EPS:
+        if hs[u] + w_spb * sds[u] > EPS:
             if gv_pos[u] < 0:
                 gv_pos[u] = len(gv_members)
                 gv_members.append(u)
@@ -182,18 +178,6 @@ def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
                 gv_pos[last] = i
                 gv_members.pop()
                 gv_pos[u] = -1
-        if sd > 0:
-            if psd_pos[u] < 0:
-                psd_pos[u] = len(psd_members)
-                psd_members.append(u)
-        else:
-            i = psd_pos[u]
-            if i >= 0:
-                last = psd_members[-1]
-                psd_members[i] = last
-                psd_pos[last] = i
-                psd_members.pop()
-                psd_pos[u] = -1
 
 
 def flip(state: SearchState, v: int) -> None:
@@ -219,7 +203,8 @@ def flip(state: SearchState, v: int) -> None:
     soft_vars = f.soft_vars
     hard_lits = f.hard
     soft_lits = f.soft
-    obj = state.current_obj
+    # softdelta[v] is exactly the objective drop of flipping v.
+    state.current_obj -= softdelta_[v]
     touched = []
 
     if old:
@@ -277,7 +262,6 @@ def flip(state: SearchState, v: int) -> None:
         if n == 0:
             w = soft_weights[cid]
             fal_s.discard(cid)
-            obj -= w
             for u in soft_vars[cid]:
                 softdelta_[u] -= w
                 touched.append(u)
@@ -297,7 +281,6 @@ def flip(state: SearchState, v: int) -> None:
         if n == 1:
             w = soft_weights[cid]
             fal_s.add(cid)
-            obj += w
             softdelta_[v] += w
             for u in soft_vars[cid]:
                 softdelta_[u] += w
@@ -316,7 +299,6 @@ def flip(state: SearchState, v: int) -> None:
         else:
             sat_count_s[cid] = n - 1
 
-    state.current_obj = obj
     refresh_candidacy(state, touched)
 
 
@@ -356,7 +338,6 @@ def recompute_from_scratch(formula: Formula, values: List[int],
     state.hscore = hs
     state.softdelta = sd
     state.current_obj = base_obj
-    state.pos_softdelta = IndexSet(n + 1, (v for v in range(1, n + 1) if sd[v] > 0))
     state.goodvars = IndexSet(
         n + 1, (v for v in range(1, n + 1) if hs[v] + spb.weight * sd[v] > EPS)
     )

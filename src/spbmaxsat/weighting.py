@@ -72,11 +72,13 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     if spb_is_falsified(state.spb, state.current_obj):
         delta = 1.0 if cfg.mode == MODE_CONSTANT else cfg.delta
         state.spb.weight = delta * (state.spb.weight + 1.0)
-        # Score sign can change for any variable with nonzero soft influence:
-        # positive softdelta may turn positive-score; already-positive entries
-        # with negative softdelta may drop out (relevant when invoked outside
-        # a local optimum).
-        touched.extend(state.pos_softdelta.members)
+        # A variable with positive softdelta may turn positive-score. Flipping
+        # it lowers obj, so it lies in a falsified soft clause: those clauses'
+        # variables are enough. Members of goodvars with negative softdelta
+        # may drop out (relevant when invoked outside a local optimum).
+        soft_vars = f.soft_vars
+        for cid in state.falsified_soft.members:
+            touched.extend(soft_vars[cid])
         touched.extend(state.goodvars.members)
 
     refresh_candidacy(state, touched)

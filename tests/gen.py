@@ -117,7 +117,6 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
     for v in range(1, f.num_vars + 1):
         assert abs(state.hscore[v] - scratch.hscore[v]) <= tol, (
             v, state.hscore[v], scratch.hscore[v])
-    assert state.pos_softdelta.as_set() == scratch.pos_softdelta.as_set()
     expected_good = {
         v for v in range(1, f.num_vars + 1) if score(scratch, v) > EPS
     }
