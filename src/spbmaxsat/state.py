@@ -1,10 +1,9 @@
 """Incremental search state: per-flip maintenance of scores and falsified sets.
 
 All derived quantities (satisfied-literal counts, falsified-clause sets,
-objective value, per-variable score ingredients, the positive-score set
-goodvars) are updated in time proportional to the flipped variable's
-occurrence lists. The from-scratch rebuild below serves as the
-independent correctness oracle.
+objective value, per-variable score ingredients) are updated in time
+proportional to the flipped variable's occurrence lists. The from-scratch
+rebuild below serves as the independent correctness oracle.
 """
 from __future__ import annotations
 
