@@ -35,7 +35,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["auto", "pms", "wpms"])
     p.add_argument("--init", choices=["decimation", "random"])
     p.add_argument("--decay-threshold", type=float)
-    p.add_argument("--decay-factor", type=float)
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -45,7 +44,6 @@ def _config_from_args(args) -> SolverConfig:
         delta=args.delta,
         mode=args.mode and args.mode.replace("-", "_"),
         decay_threshold=args.decay_threshold,
-        decay_factor=args.decay_factor,
         cutoff_seconds=args.time_limit,
         max_flips=args.max_flips,
         seed=args.seed,

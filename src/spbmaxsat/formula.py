@@ -34,6 +34,18 @@ def _normalize(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:
     return tuple(seen)
 
 
+def _index(clauses: Tuple[Tuple[int, ...], ...], num_vars: int):
+    """Variable tuples of one clause kind, plus its positive and negative
+    occurrence lists (clause ids per variable)."""
+    pos: List[List[int]] = [[] for _ in range(num_vars + 1)]
+    neg: List[List[int]] = [[] for _ in range(num_vars + 1)]
+    for cid, lits in enumerate(clauses):
+        for lit in lits:
+            (pos if lit > 0 else neg)[abs(lit)].append(cid)
+    clause_vars = tuple(tuple(abs(l) for l in c) for c in clauses)
+    return clause_vars, tuple(tuple(x) for x in pos), tuple(tuple(x) for x in neg)
+
+
 class Formula:
     """Immutable WPMS instance with per-literal occurrence lists.
 
@@ -104,26 +116,11 @@ class Formula:
         self.hard = tuple(hard_out)
         self.soft = tuple(soft_out)
         self.soft_weights = tuple(weights)
-        self.hard_vars = tuple(tuple(abs(l) for l in c) for c in self.hard)
-        self.soft_vars = tuple(tuple(abs(l) for l in c) for c in self.soft)
+        self.hard_vars, self.occ_hard_pos, self.occ_hard_neg = _index(self.hard, num_vars)
+        self.soft_vars, self.occ_soft_pos, self.occ_soft_neg = _index(self.soft, num_vars)
         self.total_soft_weight = total
         self.soft_base = soft_base
         self.has_empty_hard = has_empty_hard
-
-        ohp: List[List[int]] = [[] for _ in range(num_vars + 1)]
-        ohn: List[List[int]] = [[] for _ in range(num_vars + 1)]
-        osp: List[List[int]] = [[] for _ in range(num_vars + 1)]
-        osn: List[List[int]] = [[] for _ in range(num_vars + 1)]
-        for cid, lits in enumerate(self.hard):
-            for lit in lits:
-                (ohp if lit > 0 else ohn)[abs(lit)].append(cid)
-        for cid, lits in enumerate(self.soft):
-            for lit in lits:
-                (osp if lit > 0 else osn)[abs(lit)].append(cid)
-        self.occ_hard_pos = tuple(tuple(x) for x in ohp)
-        self.occ_hard_neg = tuple(tuple(x) for x in ohn)
-        self.occ_soft_pos = tuple(tuple(x) for x in osp)
-        self.occ_soft_neg = tuple(tuple(x) for x in osn)
 
     def _check_range(self, lits: Sequence[int]) -> None:
         for lit in lits:

@@ -44,7 +44,6 @@ class SolverConfig:
     delta: Optional[float] = None
     mode: str = MODE_SPB
     decay_threshold: float = 1e7
-    decay_factor: float = 0.5
     cutoff_seconds: Optional[float] = None
     max_flips: Optional[int] = None
     seed: int = 1
@@ -77,8 +76,6 @@ class SolverConfig:
             raise ConfigError("h_inc must be positive")
         if cfg.delta < 1.0:
             raise ConfigError("delta must be >= 1")
-        if not 0.0 < cfg.decay_factor < 1.0:
-            raise ConfigError("decay_factor must lie in (0, 1)")
         if cfg.decay_threshold <= 1.0:
             raise ConfigError("decay_threshold must exceed 1")
         return cfg
@@ -167,13 +164,10 @@ def solve(
     formula: Formula,
     config: Optional[SolverConfig] = None,
     on_improvement: Optional[Callable[[int], None]] = None,
-    instrument: Optional[Callable[[SearchState, int], None]] = None,
 ) -> SolveResult:
     """Run the local search until the flip or time budget is exhausted.
 
-    Every strict improvement triggers on_improvement(cost) immediately;
-    instrument, when set, is called after every flip (it exists for tests
-    and costs one branch per iteration otherwise).
+    Every strict improvement triggers on_improvement(cost) immediately.
     """
     cfg = (config or SolverConfig()).resolve(formula)
     rng = random.Random(cfg.seed)
@@ -227,9 +221,8 @@ def solve(
             spb_weighting(state, cfg)
             v = pick_from_falsified(state, rng)
             if v is None:
-                # Nothing falsified at all: current solution is optimal.
-                if state.current_obj < best_cost:
-                    record(state.step - 1, state.current_obj)
+                # Nothing falsified at all: the current solution is optimal and
+                # was recorded at step 0 or right after the flip that reached it.
                 termination = TERM_OPTIMUM
                 break
 
@@ -238,11 +231,7 @@ def solve(
         if not falsified_hard and state.current_obj < best_cost:
             record(state.step - 1, state.current_obj)
             if best_cost == 0:
-                if instrument is not None:
-                    instrument(state, flips)
                 termination = TERM_OPTIMUM
                 break
-        if instrument is not None:
-            instrument(state, flips)
 
     return SolveResult(best_values, best_cost, trace, flips, termination, cfg)

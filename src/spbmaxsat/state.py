@@ -122,8 +122,9 @@ def _build_kind(values, clauses, clause_vars, weights, scores):
     """Satisfied-literal bookkeeping of one clause kind (hard or soft).
 
     Adds each clause's make/break weight into scores and returns its
-    satisfied-literal counts, sole satisfying variables, falsified set
-    and falsified weight total.
+    satisfied-literal counts, a satisfying variable per clause (read only
+    where the count is 1, where it is the sole one), falsified set and
+    falsified weight total.
     """
     count = [0] * len(clauses)
     sat_var = [0] * len(clauses)
@@ -131,22 +132,31 @@ def _build_kind(values, clauses, clause_vars, weights, scores):
     falsified_weight = 0
     for cid, lits in enumerate(clauses):
         cnt = 0
-        sat_v = 0
         for lit in lits:
             if values[lit] if lit > 0 else not values[-lit]:
                 cnt += 1
-                sat_v = abs(lit)
+                sat_var[cid] = abs(lit)
         count[cid] = cnt
-        w = weights[cid]
         if cnt == 0:
             falsified.add(cid)
-            falsified_weight += w
+            falsified_weight += weights[cid]
+    _add_scores(count, sat_var, clause_vars, weights, scores)
+    return count, sat_var, falsified, falsified_weight
+
+
+def _add_scores(count, sat_var, clause_vars, weights, scores):
+    """Add each clause's make/break weight into scores.
+
+    Flipping any variable of a falsified clause makes it; flipping the sole
+    satisfying variable of a clause with one true literal breaks it.
+    """
+    for cid, cnt in enumerate(count):
+        if cnt == 0:
+            w = weights[cid]
             for v in clause_vars[cid]:
                 scores[v] += w
         elif cnt == 1:
-            sat_var[cid] = sat_v
-            scores[sat_v] -= w
-    return count, sat_var, falsified, falsified_weight
+            scores[sat_var[cid]] -= weights[cid]
 
 
 def score(state: SearchState, v: int) -> float:

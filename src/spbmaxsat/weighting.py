@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .formula import INF
-from .state import SearchState, SpbConstraint, _build_kind, refresh_candidacy
+from .state import SearchState, SpbConstraint, _add_scores, refresh_candidacy
 
 MODE_SPB = "spb"
 MODE_CONSTANT = "constant"
 MODE_ALL_ADAPTIVE = "all_adaptive"
 MODES = (MODE_SPB, MODE_CONSTANT, MODE_ALL_ADAPTIVE)
+
+DECAY_FACTOR = 0.5
 
 if TYPE_CHECKING:
     from .search import SolverConfig
@@ -19,9 +20,10 @@ if TYPE_CHECKING:
 def spb_is_falsified(spb: SpbConstraint, current_obj) -> bool:
     """True iff the current objective violates obj < bound.
 
-    Always false while the bound is infinite (no feasible solution yet).
+    Always false while the bound is infinite (no feasible solution yet):
+    the objective is an int, and no int is >= inf.
     """
-    return spb.bound != INF and current_obj >= spb.bound
+    return current_obj >= spb.bound
 
 
 def update_spb_bound(spb: SpbConstraint, new_cost) -> None:
@@ -33,41 +35,32 @@ def update_spb_bound(spb: SpbConstraint, new_cost) -> None:
 def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     """Raise the weights of everything falsified by the current assignment.
 
-    Falsified hard clauses gain h_inc (or delta*(w + h_inc) in all_adaptive
-    mode); if the soft-conflict constraint itself is violated, its weight is
-    updated multiplicatively. Score caches are adjusted for exactly the
-    variables whose score can change, then the decay trigger is checked.
-    cfg is a resolved SolverConfig.
+    Each falsified hard clause's weight w becomes hard_delta * (w + h_inc),
+    where hard_delta is delta in all_adaptive mode and 1 otherwise (the
+    additive bump); if the soft-conflict constraint itself is violated, its
+    weight is updated multiplicatively (delta forced to 1 in constant mode).
+    Score caches are adjusted for exactly the variables whose score can
+    change, then the decay trigger is checked. cfg is a resolved
+    SolverConfig.
     """
     f = state.formula
     hs = state.hscore
     hard_vars = f.hard_vars
     hard_weight = state.hard_weight
+    hard_delta = cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0
+    h_inc = cfg.h_inc
     touched = []
 
-    if cfg.mode == MODE_ALL_ADAPTIVE:
-        delta = cfg.delta
-        h_inc = cfg.h_inc
-        for cid in state.falsified_hard.members:
-            old = hard_weight[cid]
-            new = delta * (old + h_inc)
-            hard_weight[cid] = new
-            dw = new - old
-            for u in hard_vars[cid]:
-                hs[u] += dw
-                touched.append(u)
-            if new > state.max_hard_weight:
-                state.max_hard_weight = new
-    else:
-        h_inc = cfg.h_inc
-        for cid in state.falsified_hard.members:
-            new = hard_weight[cid] + h_inc
-            hard_weight[cid] = new
-            for u in hard_vars[cid]:
-                hs[u] += h_inc
-                touched.append(u)
-            if new > state.max_hard_weight:
-                state.max_hard_weight = new
+    for cid in state.falsified_hard.members:
+        old = hard_weight[cid]
+        new = hard_delta * (old + h_inc)
+        hard_weight[cid] = new
+        dw = new - old
+        for u in hard_vars[cid]:
+            hs[u] += dw
+            touched.append(u)
+        if new > state.max_hard_weight:
+            state.max_hard_weight = new
 
     if spb_is_falsified(state.spb, state.current_obj):
         delta = 1.0 if cfg.mode == MODE_CONSTANT else cfg.delta
@@ -86,31 +79,25 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
 
 
 def decay_weights(state: SearchState, cfg: SolverConfig, force: bool = False) -> bool:
-    """Multiply all dynamic weights by the decay factor, clamped below at 1.
+    """Halve all dynamic weights (DECAY_FACTOR), clamped below at 1.
 
     No-op unless some weight exceeds the threshold (or force is set). The
-    constraint bound is a cost, not a weight, and is left untouched.
+    constraint bound is a cost, not a weight, and is left untouched. The
+    satisfied-literal counts do not change, so hscore is rebuilt from them
+    and every variable's candidacy is re-tested.
     """
     if not force and state.spb.weight <= cfg.decay_threshold \
             and state.max_hard_weight <= cfg.decay_threshold:
         return False
-    rho = cfg.decay_factor
     hw = state.hard_weight
     for cid in range(len(hw)):
-        w = hw[cid] * rho
+        w = hw[cid] * DECAY_FACTOR
         hw[cid] = w if w > 1.0 else 1.0
-    w = state.spb.weight * rho
+    w = state.spb.weight * DECAY_FACTOR
     state.spb.weight = w if w > 1.0 else 1.0
     state.max_hard_weight = max(hw, default=1.0)
-    _rebuild_hard_scores(state)
-    return True
-
-
-def _rebuild_hard_scores(state: SearchState) -> None:
-    """Full hscore and candidate-bucket rebuild after a global weight change."""
-    f = state.formula
-    n = f.num_vars
-    hs = [0.0] * (n + 1)
-    _build_kind(state.values, f.hard, f.hard_vars, state.hard_weight, hs)
+    hs = [0.0] * len(state.hscore)
+    _add_scores(state.sat_count_hard, state.sat_var_hard, state.formula.hard_vars, hw, hs)
     state.hscore = hs
-    refresh_candidacy(state, range(1, n + 1))
+    refresh_candidacy(state, range(1, len(hs)))
+    return True

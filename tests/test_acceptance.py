@@ -106,7 +106,7 @@ def test_criterion_3_weighting_law():
            f"constant-rule R_inc(n)=1/n {'exact' if exact else 'violated'}")
 
 
-def test_criterion_4_spb_lifecycle():
+def test_criterion_4_spb_lifecycle(monkeypatch):
     rng = random.Random(777)
     runs = 0
     for i in range(30):
@@ -114,11 +114,14 @@ def test_criterion_4_spb_lifecycle():
         f = Formula(n, hard, soft)
         improvements = []
         violations = []
+        flips = []
 
         def on_improvement(c):
             improvements.append(c)
 
-        def instrument(state, flips):
+        def checked_flip(state, v):
+            flip(state, v)
+            flips.append(v)
             if not improvements:
                 if state.spb.bound != INF or state.spb.weight != 1.0:
                     violations.append(f"pre-feasible weight {state.spb.weight}")
@@ -126,10 +129,12 @@ def test_criterion_4_spb_lifecycle():
                 if state.spb.bound != improvements[-1]:
                     violations.append("bound != best cost")
 
+        monkeypatch.setattr("spbmaxsat.search.flip", checked_flip)
         cfg = SolverConfig(max_flips=20_000, seed=1000 + i,
                            init="random" if i % 2 else "decimation")
-        result = solve(f, cfg, on_improvement=on_improvement, instrument=instrument)
+        result = solve(f, cfg, on_improvement=on_improvement)
         assert not violations, violations[:3]
+        assert len(flips) == result.flips
         assert all(a > b for a, b in zip(improvements, improvements[1:]))
         if result.feasible:
             assert improvements and result.best_cost == improvements[-1]

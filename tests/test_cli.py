@@ -1,8 +1,11 @@
 """Command-line interface tests: protocol output, exit codes, subcommands."""
 from __future__ import annotations
 
+import argparse
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -118,10 +121,20 @@ class TestSolveCommand:
         rc = main(["solve", f1_path, "--max-flips", "4000", "--mode",
                    "all-adaptive", "--preset", "wpms", "--k", "10",
                    "--h-inc", "2", "--delta", "1.01", "--init", "random",
-                   "--decay-threshold", "1e6", "--decay-factor", "0.25"])
+                   "--decay-threshold", "1e6"])
         assert rc == 0
         o, s, _ = protocol_lines(capsys.readouterr().out)
         assert o[-1] == 2
+
+    def test_readme_lists_every_solver_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        start = readme.index("Solver flags:")
+        listed = re.findall(r"`(--[a-z-]+)", readme[start:readme.index("Presets:", start)])
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = [opt for action in subparsers.choices["solve"]._actions
+                   for opt in action.option_strings if opt not in ("-h", "--help")]
+        assert sorted(listed) == sorted(options)
 
 
 class TestOracleCommand:

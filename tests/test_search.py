@@ -16,7 +16,7 @@ from spbmaxsat.search import (
     pick_from_falsified,
     solve,
 )
-from spbmaxsat.state import EPS, SearchState, score
+from spbmaxsat.state import EPS, SearchState, flip, score
 
 from gen import random_parts
 
@@ -142,28 +142,35 @@ class TestSolve:
         assert r1.flips == r2.flips
         assert r1.termination == r2.termination
 
-    def test_bound_tracks_best_cost_and_bucket_matches_scan(self):
+    def test_bound_tracks_best_cost_and_bucket_matches_scan(self, monkeypatch):
         rng = random.Random(53)
-        n, hard, soft = random_parts(rng)
+        # Large enough that the run neither starts nor ends at cost 0.
+        n, hard, soft = random_parts(rng, min_vars=40, max_vars=40,
+                                     min_clauses=160, max_clauses=160)
         f = Formula(n, hard, soft)
         improvements = []
+        flips = 0
 
         def on_improvement(c):
             improvements.append(c)
 
-        def instrument(state, flips):
-            expected = state.current_obj if not state.falsified_hard.members else None
+        def checked_flip(state, v):
+            nonlocal flips
+            flip(state, v)
+            flips += 1
             if improvements:
                 assert state.spb.bound == min(improvements)
             else:
                 assert state.spb.bound == INF
                 assert state.spb.weight == 1.0
             if flips % 97 == 0:  # occasional full-scan equivalence check
-                full = {v for v in range(1, n + 1) if score(state, v) > EPS}
+                full = {u for u in range(1, n + 1) if score(state, u) > EPS}
                 assert state.goodvars.as_set() == full
 
-        solve(f, SolverConfig(max_flips=5_000, seed=5),
-              on_improvement=on_improvement, instrument=instrument)
+        monkeypatch.setattr("spbmaxsat.search.flip", checked_flip)
+        result = solve(f, SolverConfig(max_flips=5_000, seed=5),
+                       on_improvement=on_improvement)
+        assert flips == result.flips > 0
 
     def test_random_init_mode(self):
         result = solve(F1, SolverConfig(max_flips=5_000, seed=1, init="random"))

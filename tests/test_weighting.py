@@ -12,6 +12,7 @@ from spbmaxsat.state import SearchState, SpbConstraint, flip
 from spbmaxsat.weighting import (
     MODE_ALL_ADAPTIVE,
     MODE_CONSTANT,
+    MODES,
     decay_weights,
     spb_is_falsified,
     spb_weighting,
@@ -119,14 +120,15 @@ class TestSpbWeighting:
             rate = (s.spb.weight - w) / w
             assert rate > cfg.delta - 1
 
-    def test_scores_consistent_after_weighting_off_optimum(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scores_consistent_after_weighting_off_optimum(self, mode):
         rng = random.Random(22)
         for _ in range(10):
             n, hard, soft = random_parts(rng)
             f = Formula(n, hard, soft)
             s = make_state(f, [rng.randint(0, 1) for _ in range(n)],
                            spb_bound=rng.randint(1, 20))
-            cfg = SolverConfig(h_inc=2, delta=1.1)
+            cfg = SolverConfig(h_inc=2, delta=1.1, mode=mode)
             for _ in range(20):
                 flip(s, rng.randint(1, n))
                 spb_weighting(s, cfg)
@@ -138,7 +140,7 @@ class TestDecay:
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,))
         s.spb.weight = 2e7
-        cfg = SolverConfig(decay_threshold=1e7, decay_factor=0.5)
+        cfg = SolverConfig(decay_threshold=1e7)
         assert decay_weights(s, cfg)
         assert s.spb.weight == 1e7
 
@@ -147,7 +149,7 @@ class TestDecay:
         s = make_state(f, (0, 0))
         s.hard_weight[0] = 1.2
         s.spb.weight = 2e7
-        cfg = SolverConfig(decay_threshold=1e7, decay_factor=0.5)
+        cfg = SolverConfig(decay_threshold=1e7)
         decay_weights(s, cfg)
         assert s.hard_weight[0] == 1.0
         assert_state_matches_scratch(s)
@@ -160,12 +162,13 @@ class TestDecay:
         assert not decay_weights(s, SolverConfig())
         assert s.hard_weight[0] == 50.0
 
-    def test_forced_decay_keeps_state_consistent(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_forced_decay_keeps_state_consistent(self, mode):
         rng = random.Random(23)
         n, hard, soft = random_parts(rng)
         f = Formula(n, hard, soft)
         s = make_state(f, [rng.randint(0, 1) for _ in range(n)], spb_bound=5)
-        cfg = SolverConfig(h_inc=7, delta=1.2)
+        cfg = SolverConfig(h_inc=7, delta=1.2, mode=mode)
         for _ in range(30):
             flip(s, rng.randint(1, n))
             spb_weighting(s, cfg)
@@ -185,7 +188,7 @@ class TestDecay:
         f = Formula(1, [], [(3, [-1])])
         s = make_state(f, (1,), spb_bound=1)
         s.spb.weight = 9.999e6
-        cfg = SolverConfig(h_inc=1, delta=1.5, decay_threshold=1e7, decay_factor=0.5)
+        cfg = SolverConfig(h_inc=1, delta=1.5, decay_threshold=1e7)
         spb_weighting(s, cfg)  # pushes above the threshold, then decays
         assert s.spb.weight <= 1e7
 
@@ -197,7 +200,6 @@ class TestConfigValidation:
             ({"mode": "bogus"}, "unknown weighting mode 'bogus'"),
             ({"h_inc": 0}, "h_inc must be positive"),
             ({"delta": 0.9}, "delta must be >= 1"),
-            ({"decay_factor": 1.0}, r"decay_factor must lie in \(0, 1\)"),
             ({"decay_threshold": 1.0}, "decay_threshold must exceed 1"),
         ):
             with pytest.raises(ConfigError, match=message):
