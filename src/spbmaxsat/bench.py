@@ -13,7 +13,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formula import INF, ParseError, load_wcnf
-from .search import SolveResult, SolverConfig, solve
+from .search import ConfigError, SolveResult, SolverConfig, solve
 
 log = logging.getLogger(__name__)
 
@@ -200,8 +200,13 @@ def run_benchmark(
 
     Each config is run under the given wall-clock limit unless it already
     carries its own cutoff. Records land in out_dir/runs.jsonl and the
-    report in out_dir/report.json when out_dir is set.
+    report in out_dir/report.json when out_dir is set. Labels must be
+    unique: the report keys each instance's costs by label.
     """
+    labels = [label for label, _ in configs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"duplicate config label {label!r}")
     instances = discover_instances(directory)
     jobs = []
     for label, cfg in configs:

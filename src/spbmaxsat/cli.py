@@ -15,7 +15,6 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from .bench import format_report, run_benchmark
-from .dynamics import weight_dynamics, write_csv
 from .formula import INF, load_wcnf
 from .oracle import brute_force_opt
 from .search import ConfigError, SolverConfig, solve
@@ -130,16 +129,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_dynamics(args) -> int:
-    rows = weight_dynamics(args.delta, args.steps)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spb-maxsat",
@@ -165,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "fast=--preset wpms --seed 3;const=--mode constant"')
     p.add_argument("--out", default=None, help="directory for runs.jsonl and report.json")
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("dynamics", help="emit weight-growth metrics as CSV")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dynamics)
 
     return parser
 

@@ -65,7 +65,7 @@ class SearchState:
     """Mutable solver state over one shared immutable Formula.
 
     values holds the 0/1 assignment (index 0 unused) and is updated in
-    place by flip(); every flip stamp starts at 0.
+    place by flip(); every flip stamp starts at 0 and step at 1.
     """
 
     __slots__ = (
@@ -90,14 +90,13 @@ class SearchState:
 
     def __init__(self, formula: Formula, values: List[int],
                  hard_weights: Optional[List[float]] = None,
-                 spb: Optional[SpbConstraint] = None,
-                 step: int = 1):
+                 spb: Optional[SpbConstraint] = None):
         if len(values) != formula.num_vars + 1:
             raise ValueError("assignment length does not match variable count")
         self.formula = formula
         self.values = values
         self.flip_stamp = [0] * len(values)
-        self.step = step
+        self.step = 1
         self.hard_weight = list(hard_weights) if hard_weights is not None else [1.0] * len(formula.hard)
         self.max_hard_weight = max(self.hard_weight, default=1.0)
         self.spb = spb if spb is not None else SpbConstraint()
@@ -313,8 +312,7 @@ def flip(state: SearchState, v: int) -> None:
 
 def recompute_from_scratch(formula: Formula, values: List[int],
                            hard_weights: Optional[List[float]] = None,
-                           spb: Optional[SpbConstraint] = None,
-                           step: int = 1) -> SearchState:
+                           spb: Optional[SpbConstraint] = None) -> SearchState:
     """Build a SearchState directly from definitions, then overwrite the score
     arrays by literal flip simulation.
 
@@ -323,8 +321,7 @@ def recompute_from_scratch(formula: Formula, values: List[int],
     falsified hard weight total and obj from scratch.
     """
     spb = spb if spb is not None else SpbConstraint()
-    state = SearchState(formula, list(values),
-                        hard_weights=hard_weights, spb=spb, step=step)
+    state = SearchState(formula, list(values), hard_weights=hard_weights, spb=spb)
     values = list(values)
     n = formula.num_vars
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from spbmaxsat.formula import Formula
+from spbmaxsat.formula import INF, Formula
+from spbmaxsat.search import SolverConfig
 from spbmaxsat.state import EPS, SearchState, recompute_from_scratch, score
+from spbmaxsat.weighting import spb_weighting
 
 
 def random_parts(
@@ -99,7 +101,6 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
         state.values,
         hard_weights=list(state.hard_weight),
         spb=type(state.spb)(state.spb.weight, state.spb.bound),
-        step=state.step,
     )
     f = state.formula
     assert state.current_obj == scratch.current_obj
@@ -121,3 +122,28 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
         v for v in range(1, f.num_vars + 1) if score(scratch, v) > EPS
     }
     assert state.goodvars.as_set() == expected_good
+
+
+def weight_growth(mode: str, delta: float, events: int):
+    """Growth of the solver's own weights under repeated spb_weighting calls.
+
+    One falsified hard clause and one falsified soft clause, with the SPB
+    bound held at the objective, so every event bumps the hard weight and
+    raises w_spb; h_inc is 1 and decay never fires. Returns four lists with
+    one entry per event: w_spb after it, R_inc = (w' - w)/w, I_inc =
+    (w' - w)/(w + w_hard) (both over the weights before it), and the hard
+    weight after it.
+    """
+    state = SearchState(Formula(1, [[1]], [(1, [1])]), [0, 0])
+    state.spb.bound = state.current_obj
+    cfg = SolverConfig(h_inc=1, delta=delta, mode=mode, decay_threshold=INF)
+    w_spb, r_inc, i_inc, hard = [], [], [], []
+    for _ in range(events):
+        w, wh = state.spb.weight, state.hard_weight[0]
+        spb_weighting(state, cfg)
+        new = state.spb.weight
+        w_spb.append(new)
+        r_inc.append((new - w) / w)
+        i_inc.append((new - w) / (w + wh))
+        hard.append(state.hard_weight[0])
+    return w_spb, r_inc, i_inc, hard

@@ -15,11 +15,10 @@ import pytest
 
 from spbmaxsat.bench import RunRecord, aggregate, compute_wins, mse_score
 from spbmaxsat.cli import main
-from spbmaxsat.dynamics import weight_dynamics
 from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
 from spbmaxsat.search import SolverConfig, solve
 from spbmaxsat.state import SearchState, flip
-from spbmaxsat.weighting import decay_weights, spb_weighting
+from spbmaxsat.weighting import MODE_CONSTANT, MODE_SPB, decay_weights, spb_weighting
 
 import acceptance_jobs as jobs
 from gen import (
@@ -27,6 +26,7 @@ from gen import (
     random_parts,
     render_new,
     render_old,
+    weight_growth,
 )
 
 
@@ -95,11 +95,11 @@ def test_criterion_2_incremental_consistency():
 
 
 def test_criterion_3_weighting_law():
-    adaptive = weight_dynamics(1.001, 10_000)
-    final_gap = abs(adaptive[-1].r_inc - 0.001)
-    all_above = all(r.r_inc > 0.001 for r in adaptive)
-    constant = weight_dynamics(1.0, 10_000)
-    exact = all(r.r_inc == 1.0 / r.step for r in constant)
+    _, adaptive, _, _ = weight_growth(MODE_SPB, 1.001, 10_000)
+    final_gap = abs(adaptive[-1] - 0.001)
+    all_above = all(r > 0.001 for r in adaptive)
+    _, constant, _, _ = weight_growth(MODE_CONSTANT, 1.001, 10_000)
+    exact = all(r == 1.0 / n for n, r in enumerate(constant, 1))
     ok = final_gap <= 1e-4 and all_above and exact
     report(3, "weighting law", ok,
            f"final R_inc gap {final_gap:.2e}, lower bound {'held' if all_above else 'broken'}, "

@@ -25,6 +25,18 @@ def f1_path(tmp_path):
     return str(p)
 
 
+def readme_section(start: str, end: str) -> str:
+    """README text from the first `start` up to the next `end`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    i = readme.index(start)
+    return readme[i:readme.index(end, i)]
+
+
+def subcommands() -> dict:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def protocol_lines(out: str):
     o_lines = [int(l[2:]) for l in out.splitlines() if l.startswith("o ")]
     s_lines = [l for l in out.splitlines() if l.startswith("s ")]
@@ -127,14 +139,14 @@ class TestSolveCommand:
         assert o[-1] == 2
 
     def test_readme_lists_every_solver_flag(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        start = readme.index("Solver flags:")
-        listed = re.findall(r"`(--[a-z-]+)", readme[start:readme.index("Presets:", start)])
-        subparsers = next(a for a in cli.build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        options = [opt for action in subparsers.choices["solve"]._actions
+        listed = re.findall(r"`(--[a-z-]+)", readme_section("Solver flags:", "Presets:"))
+        options = [opt for action in subcommands()["solve"]._actions
                    for opt in action.option_strings if opt not in ("-h", "--help")]
         assert sorted(listed) == sorted(options)
+
+    def test_readme_lists_every_subcommand(self):
+        listed = re.findall(r"^spb-maxsat ([a-z]+)", readme_section("## CLI", "\n```\n"), re.M)
+        assert sorted(set(listed)) == sorted(subcommands())
 
 
 class TestOracleCommand:
@@ -153,23 +165,6 @@ class TestOracleCommand:
         p = tmp_path / "big.wcnf"
         p.write_text(f"h {lits} 0\n1 1 0\n")
         assert main(["oracle", str(p)]) != 0
-
-
-class TestDynamicsCommand:
-    def test_stdout_csv(self, capsys):
-        assert main(["dynamics", "--delta", "1.001", "--steps", "4"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "step,w_spb,r_inc,i_inc"
-        assert len(lines) == 5
-
-    def test_file_output(self, tmp_path):
-        out = tmp_path / "dyn.csv"
-        assert main(["dynamics", "--delta", "1", "--steps", "2",
-                     "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[0] == "step,w_spb,r_inc,i_inc"
-
-    def test_invalid_delta(self, capsys):
-        assert main(["dynamics", "--delta", "0.5", "--steps", "2"]) != 0
 
 
 class TestBenchCommand:
@@ -192,3 +187,19 @@ class TestBenchCommand:
         assert "#inst: 2" in text
         assert (out_dir / "runs.jsonl").exists()
         assert (out_dir / "report.json").exists()
+
+    def test_duplicate_label_rejected_before_any_run(self, tmp_path, capsys):
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        for i in range(2):
+            (inst_dir / f"i{i}.wcnf").write_text(F1)
+        out_dir = tmp_path / "out"
+        rc = main([
+            "bench", "--dir", str(inst_dir), "--out", str(out_dir),
+            "--config", "a=--max-flips 10 --seed 1;a=--max-flips 3000 --seed 2",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: duplicate config label 'a'\n"
+        assert not out_dir.exists()

@@ -12,6 +12,7 @@ from spbmaxsat.state import SearchState, SpbConstraint, flip
 from spbmaxsat.weighting import (
     MODE_ALL_ADAPTIVE,
     MODE_CONSTANT,
+    MODE_SPB,
     MODES,
     decay_weights,
     spb_is_falsified,
@@ -19,7 +20,7 @@ from spbmaxsat.weighting import (
     update_spb_bound,
 )
 
-from gen import assert_state_matches_scratch, random_parts
+from gen import assert_state_matches_scratch, random_parts, weight_growth
 
 
 def make_state(f, values, **kw):
@@ -81,12 +82,13 @@ class TestSpbWeighting:
         assert_state_matches_scratch(s)
 
     def test_constant_mode_is_additive(self):
-        f = Formula(1, [], [(3, [-1])])
-        s = make_state(f, (1,), spb_bound=1)
-        cfg = SolverConfig(h_inc=1, delta=1.5, mode=MODE_CONSTANT)
-        for expected in (2.0, 3.0, 4.0):
-            spb_weighting(s, cfg)
-            assert s.spb.weight == expected
+        # delta is forced to 1: both weights rise by exactly 1 per event, so
+        # R_inc(n) = 1/n and I_inc(n) = 1/(2n) decay to zero.
+        w_spb, r_inc, i_inc, hard = weight_growth(MODE_CONSTANT, 1.5, 10_000)
+        for n in range(1, 10_001):
+            assert w_spb[n - 1] == hard[n - 1] == n + 1.0
+            assert r_inc[n - 1] == 1.0 / n
+            assert i_inc[n - 1] == 1.0 / (2 * n)
 
     def test_all_adaptive_hard_rule(self):
         f = Formula(2, [[1, 2]], [(1, [1])])
@@ -111,14 +113,27 @@ class TestSpbWeighting:
             flip(s, rng.randint(1, n))
 
     def test_rate_exceeds_delta_minus_one(self):
-        f = Formula(1, [], [(3, [-1])])
-        s = make_state(f, (1,), spb_bound=1)
-        cfg = SolverConfig(h_inc=1, delta=1.001, decay_threshold=1e30)
-        for _ in range(200):
-            w = s.spb.weight
-            spb_weighting(s, cfg)
-            rate = (s.spb.weight - w) / w
-            assert rate > cfg.delta - 1
+        # In every mode w_spb rises while its R_inc falls and stays above
+        # delta - 1 (constant mode forces delta to 1). The multiplicative
+        # rule's R_inc converges to delta - 1, and so does the hard
+        # weight's in all_adaptive mode.
+        for mode in MODES:
+            for delta in (1.0, 1.001, 1.01):
+                w_spb, r_inc, i_inc, _ = weight_growth(mode, delta, 2000)
+                floor = 0.0 if mode == MODE_CONSTANT else delta - 1
+                assert all(r > floor for r in r_inc), (mode, delta)
+                assert all(i > 0 for i in i_inc), (mode, delta)
+                assert all(b < a for a, b in zip(r_inc, r_inc[1:])), (mode, delta)
+                assert all(b > a for a, b in zip(w_spb, w_spb[1:])), (mode, delta)
+            _, r_inc, i_inc, hard = weight_growth(mode, 1.001, 10_000)
+            if mode != MODE_CONSTANT:
+                assert r_inc[-1] == pytest.approx(0.001, abs=1e-4), mode
+            if mode == MODE_SPB:
+                assert i_inc[-1] == pytest.approx(0.001, abs=1e-4)
+            if mode == MODE_ALL_ADAPTIVE:
+                hard_rate = [(b - a) / a for a, b in zip([1.0, *hard], hard)]
+                assert all(r > 0.001 for r in hard_rate)
+                assert hard_rate[-1] == pytest.approx(0.001, abs=1e-4)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_scores_consistent_after_weighting_off_optimum(self, mode):
