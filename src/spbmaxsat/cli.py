@@ -11,51 +11,45 @@ import argparse
 import json
 import shlex
 import sys
+from dataclasses import fields
 from time import perf_counter
 from typing import List, Optional, Tuple
 
 from .bench import format_report, run_benchmark
 from .formula import INF, load_wcnf
 from .oracle import brute_force_opt
-from .search import ConfigError, SolverConfig, solve
+from .search import INITS, PRESETS, ConfigError, SolverConfig, solve
 from .weighting import MODES
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    """Solver flags. They have no defaults of their own: an omitted flag is
-    None and keeps the SolverConfig default."""
-    p.add_argument("--time-limit", type=float, metavar="SECONDS")
+    """Solver flags, one per SolverConfig field, with the field's name as
+    dest. p must be built with argument_default=SUPPRESS: an omitted flag
+    stays out of the namespace and keeps the SolverConfig default."""
+    p.add_argument("--time-limit", dest="cutoff_seconds", type=float, metavar="SECONDS")
     p.add_argument("--max-flips", type=int, metavar="N")
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int, help="BMS sample count")
     p.add_argument("--h-inc", type=float, help="hard-clause weight increment")
     p.add_argument("--delta", type=float, help="multiplicative weight proportion")
     p.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES])
-    p.add_argument("--preset", choices=["auto", "pms", "wpms"])
-    p.add_argument("--init", choices=["decimation", "random"])
+    p.add_argument("--preset", choices=["auto", *PRESETS])
+    p.add_argument("--init", choices=INITS)
     p.add_argument("--decay-threshold", type=float)
 
 
 def _config_from_args(args) -> SolverConfig:
-    given = dict(
-        k=args.k,
-        h_inc=args.h_inc,
-        delta=args.delta,
-        mode=args.mode and args.mode.replace("-", "_"),
-        decay_threshold=args.decay_threshold,
-        cutoff_seconds=args.time_limit,
-        max_flips=args.max_flips,
-        seed=args.seed,
-        init=args.init,
-        preset=args.preset,
-    )
-    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
+    given = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if hasattr(args, f.name)}
+    if "mode" in given:
+        given["mode"] = given["mode"].replace("-", "_")
+    return SolverConfig(**given)
 
 
 def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
     """Parse bench --config entries of the form "label=<solver flags>",
     several entries separated by ";"."""
-    parser = argparse.ArgumentParser(prog="config", add_help=False)
+    parser = argparse.ArgumentParser(prog="config", add_help=False,
+                                     argument_default=argparse.SUPPRESS)
     _add_solver_flags(parser)
     out = []
     for spec in specs:
@@ -63,9 +57,9 @@ def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
             entry = entry.strip()
             if not entry:
                 continue
-            label, _, flags = entry.partition("=")
-            if not label:
-                raise ConfigError(f"bad --config entry {entry!r}")
+            label, sep, flags = entry.partition("=")
+            if not sep or not label.strip():
+                raise ConfigError(f"bad --config entry {entry!r}: expected label=<flags>")
             args = parser.parse_args(shlex.split(flags))
             out.append((label.strip(), _config_from_args(args)))
     return out
@@ -73,8 +67,8 @@ def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
 
 def cmd_solve(args) -> int:
     start = perf_counter()
-    formula = load_wcnf(args.file)
     cfg = _config_from_args(args)
+    formula = load_wcnf(args.file)
     t0 = perf_counter()
     if cfg.cutoff_seconds is None and cfg.max_flips is None:
         cfg.cutoff_seconds = 60.0
@@ -136,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the local search on one instance")
+    p = sub.add_parser("solve", help="run the local search on one instance",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("file")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)

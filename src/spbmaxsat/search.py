@@ -17,6 +17,7 @@ PRESETS = {
     "pms": (53, 1.0, 1.00072),
     "wpms": (97, 28.0, 1.001),
 }
+INITS = ("decimation", "random")
 
 TERM_TIME = "time"
 TERM_FLIPS = "flips"
@@ -31,6 +32,9 @@ class ConfigError(ValueError):
 @dataclass
 class SolverConfig:
     """Solver parameters; None fields are filled in from the preset.
+
+    Values are checked when the config is built; the budget only by
+    resolve(), as the CLI and bench fill in a default time limit later.
 
     preset "auto" resolves to "pms" when every soft weight equals 1 and to
     "wpms" otherwise. h_inc is the additive bump for falsified hard clauses,
@@ -50,35 +54,38 @@ class SolverConfig:
     init: str = "decimation"
     preset: str = "auto"
 
+    def __post_init__(self) -> None:
+        if self.preset != "auto" and self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown weighting mode {self.mode!r}")
+        if self.init not in INITS:
+            raise ConfigError(f"unknown init mode {self.init!r}")
+        if self.k is not None and self.k < 1:
+            raise ConfigError("k must be >= 1")
+        # Negated comparisons, so that NaN fails too.
+        if self.h_inc is not None and not self.h_inc > 0:
+            raise ConfigError("h_inc must be positive")
+        if self.delta is not None and not self.delta >= 1.0:
+            raise ConfigError("delta must be >= 1")
+        if not self.decay_threshold > 1.0:
+            raise ConfigError("decay_threshold must exceed 1")
+
     def resolve(self, formula: Formula) -> "SolverConfig":
+        """A copy with the budget checked and the preset's values filled in."""
+        if self.cutoff_seconds is None and self.max_flips is None:
+            raise ConfigError("set at least one of cutoff_seconds / max_flips")
         preset = self.preset
         if preset == "auto":
             preset = "pms" if formula.is_pms else "wpms"
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}")
         pk, ph, pd = PRESETS[preset]
-        cfg = replace(
+        return replace(
             self,
             k=self.k if self.k is not None else pk,
             h_inc=self.h_inc if self.h_inc is not None else ph,
             delta=self.delta if self.delta is not None else pd,
             preset=preset,
         )
-        if cfg.cutoff_seconds is None and cfg.max_flips is None:
-            raise ConfigError("set at least one of cutoff_seconds / max_flips")
-        if cfg.k < 1:
-            raise ConfigError("k must be >= 1")
-        if cfg.init not in ("decimation", "random"):
-            raise ConfigError(f"unknown init mode {cfg.init!r}")
-        if cfg.mode not in MODES:
-            raise ConfigError(f"unknown weighting mode {cfg.mode!r}")
-        if cfg.h_inc <= 0:
-            raise ConfigError("h_inc must be positive")
-        if cfg.delta < 1.0:
-            raise ConfigError("delta must be >= 1")
-        if cfg.decay_threshold <= 1.0:
-            raise ConfigError("decay_threshold must exceed 1")
-        return cfg
 
 
 @dataclass

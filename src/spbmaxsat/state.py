@@ -54,9 +54,6 @@ class IndexSet:
             self.members.pop()
             self.pos[x] = -1
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def as_set(self) -> set:
         return set(self.members)
 

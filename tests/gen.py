@@ -50,11 +50,6 @@ def random_parts(
     return n, hard, soft
 
 
-def random_formula(rng: random.Random, **kwargs) -> Formula:
-    n, hard, soft = random_parts(rng, **kwargs)
-    return Formula(n, hard, soft)
-
-
 def render_old(n: int, hard, soft) -> str:
     top = sum(w for w, _ in soft) + 1
     lines = [f"p wcnf {n} {len(hard) + len(soft)} {top}"]

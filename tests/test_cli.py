@@ -5,6 +5,7 @@ import argparse
 import random
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from spbmaxsat import cli
 from spbmaxsat.cli import main
 from spbmaxsat.formula import load_wcnf
+from spbmaxsat.search import INITS, PRESETS, SolverConfig
+from spbmaxsat.weighting import MODES
 
 from gen import random_parts, render_old
 
@@ -84,6 +87,10 @@ class TestSolveCommand:
         assert rc != 0
         assert "error" in capsys.readouterr().err
 
+    def test_bad_value_reported_before_reading_instance(self, capsys):
+        assert main(["solve", "/no/such/file.wcnf", "--k", "0"]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.wcnf"
         p.write_text("p wcnf zzz\n")
@@ -144,6 +151,14 @@ class TestSolveCommand:
                    for opt in action.option_strings if opt not in ("-h", "--help")]
         assert sorted(listed) == sorted(options)
 
+    def test_flags_and_choices_come_from_solver_config(self):
+        actions = {a.dest: a for a in subcommands()["solve"]._actions if a.option_strings}
+        del actions["help"]
+        assert set(actions) == {f.name for f in fields(SolverConfig)}
+        assert tuple(actions["preset"].choices) == ("auto", *PRESETS)
+        assert tuple(actions["init"].choices) == INITS
+        assert tuple(actions["mode"].choices) == tuple(m.replace("_", "-") for m in MODES)
+
     def test_readme_lists_every_subcommand(self):
         listed = re.findall(r"^spb-maxsat ([a-z]+)", readme_section("## CLI", "\n```\n"), re.M)
         assert sorted(set(listed)) == sorted(subcommands())
@@ -165,6 +180,14 @@ class TestOracleCommand:
         p = tmp_path / "big.wcnf"
         p.write_text(f"h {lits} 0\n1 1 0\n")
         assert main(["oracle", str(p)]) != 0
+
+
+def bench_dir(tmp_path) -> Path:
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    for i in range(2):
+        (inst_dir / f"i{i}.wcnf").write_text(F1)
+    return inst_dir
 
 
 class TestBenchCommand:
@@ -189,17 +212,28 @@ class TestBenchCommand:
         assert (out_dir / "report.json").exists()
 
     def test_duplicate_label_rejected_before_any_run(self, tmp_path, capsys):
-        inst_dir = tmp_path / "instances"
-        inst_dir.mkdir()
-        for i in range(2):
-            (inst_dir / f"i{i}.wcnf").write_text(F1)
         out_dir = tmp_path / "out"
         rc = main([
-            "bench", "--dir", str(inst_dir), "--out", str(out_dir),
+            "bench", "--dir", str(bench_dir(tmp_path)), "--out", str(out_dir),
             "--config", "a=--max-flips 10 --seed 1;a=--max-flips 3000 --seed 2",
         ])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
         assert captured.err == "error: duplicate config label 'a'\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config, error", [
+        ("a=--max-flips 10 --k 0;b=--max-flips 10", "k must be >= 1"),
+        ("nolabel --max-flips 10",
+         "bad --config entry 'nolabel --max-flips 10': expected label=<flags>"),
+    ], ids=["bad-value", "no-label"])
+    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, config, error):
+        out_dir = tmp_path / "out"
+        rc = main(["bench", "--dir", str(bench_dir(tmp_path)), "--out", str(out_dir),
+                   "--config", config])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
         assert not out_dir.exists()

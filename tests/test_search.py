@@ -208,6 +208,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, init="nope").resolve(f)
 
+    @pytest.mark.parametrize("field", ["h_inc", "delta", "decay_threshold"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(max_flips=1, **{field: float("nan")})
+
     def test_time_cutoff_terminates(self):
         rng = random.Random(54)
         n, hard, soft = random_parts(rng)

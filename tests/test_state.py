@@ -172,7 +172,7 @@ class TestScratchOracle:
         assert s.current_obj == 0
         assert s.hscore == [0.0]
         assert s.softdelta == [0]
-        assert len(s.goodvars) == 0
+        assert s.goodvars.members == []
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 10**6), max_size=60))
