@@ -63,10 +63,7 @@ def compute_wins(costs: Dict[str, Dict[str, Optional[int]]]) -> Dict[str, int]:
     Ties count for every tied solver; instances where no solver found a
     feasible solution award nothing.
     """
-    wins: Dict[str, int] = {}
-    for per_solver in costs.values():
-        for label in per_solver:
-            wins.setdefault(label, 0)
+    wins = {label: 0 for per_solver in costs.values() for label in per_solver}
     for per_solver in costs.values():
         finite = [c for c in per_solver.values() if c is not None and c != INF]
         if not finite:
@@ -122,11 +119,9 @@ def aggregate(records: Sequence[RunRecord], bkc: Optional[Dict[str, int]] = None
         key=lambda r: (r.label, r.instance),
     )
 
-    labels: List[str] = []
+    labels = list(dict.fromkeys(r.label for r in records))
     costs: Dict[str, Dict[str, Optional[int]]] = {}
     for r in records:
-        if r.label not in labels:
-            labels.append(r.label)
         costs.setdefault(r.instance, {})[r.label] = r.best_cost
 
     instances = sorted(costs)

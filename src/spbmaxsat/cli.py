@@ -51,6 +51,10 @@ def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
     parser = argparse.ArgumentParser(prog="config", add_help=False,
                                      argument_default=argparse.SUPPRESS)
     _add_solver_flags(parser)
+
+    def fail(message: str):  # one error line, not argparse's usage block and exit 2
+        raise ConfigError(f"bad --config entry {entry!r}: {message}")
+    parser.error = fail
     out = []
     for spec in specs:
         for entry in spec.split(";"):

@@ -1,38 +1,21 @@
 """Exact WPMS optimum by exhaustive enumeration, for small instances only.
 
-Assignments are enumerated as the integers 0..2^n-1 (bit v-1 holds the
-value of variable v) and evaluated in vectorized chunks: a clause with
-positive-literal mask P and negative-literal mask N is falsified by
-assignment a iff (a & P) == 0 and (a & N) == N.
+Assignments are the integers 0..2^n-1 (bit v-1 holds the value of
+variable v), and a set of assignments is a Python int used as a bitset:
+bit a stands for assignment a. A clause's falsified set is the AND of its
+literals' false sets. The objective is kept as bit planes (plane b holds
+the assignments whose objective has bit b set); each soft weight is added
+by a ripple-carry over the planes.
 """
 from __future__ import annotations
-
-from typing import List, Tuple
-
-import numpy as np
 
 from .formula import INF, Formula
 
 MAX_ORACLE_VARS = 24
-_CHUNK = 1 << 20
 
 
 class TooManyVariables(ValueError):
     pass
-
-
-def _masks(clauses) -> List[Tuple[np.uint64, np.uint64]]:
-    out = []
-    for lits in clauses:
-        p = 0
-        q = 0
-        for lit in lits:
-            if lit > 0:
-                p |= 1 << (lit - 1)
-            else:
-                q |= 1 << (-lit - 1)
-        out.append((np.uint64(p), np.uint64(q)))
-    return out
 
 
 def brute_force_opt(f: Formula):
@@ -46,38 +29,53 @@ def brute_force_opt(f: Formula):
     n = f.num_vars
     if n > MAX_ORACLE_VARS:
         raise TooManyVariables(f"{n} variables exceed the enumeration cap of {MAX_ORACLE_VARS}")
-    if f.has_empty_hard:
-        return INF, None
-
-    hard_masks = _masks(f.hard)
-    soft_masks = _masks(f.soft)
-    weights = [np.uint64(w) for w in f.soft_weights]
-    sentinel = np.iinfo(np.uint64).max
-    zero = np.uint64(0)
-
-    best_cost = None
-    best_index = None
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        a = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        feasible = np.ones(len(a), dtype=bool)
-        for p, q in hard_masks:
-            feasible &= ~(((a & p) == zero) & ((a & q) == q))
-        if not feasible.any():
-            continue
-        objs = np.full(len(a), f.soft_base, dtype=np.uint64)
-        for (p, q), w in zip(soft_masks, weights):
-            objs += (((a & p) == zero) & ((a & q) == q)) * w
-        objs[~feasible] = sentinel
-        i = int(np.argmin(objs))
-        c = int(objs[i])
-        if best_cost is None or c < best_cost:
-            best_cost = c
-            best_index = start + i
-
-    if best_cost is None:
-        return INF, None
-    values = [0] * (n + 1)
+    size = 1 << n
+    full = (1 << size) - 1
+    truth = [0]  # truth[v]: the assignments with v true, by doubling a pattern
     for v in range(1, n + 1):
-        values[v] = (best_index >> (v - 1)) & 1
-    return best_cost, values
+        half = 1 << (v - 1)
+        pattern, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            pattern |= pattern << period
+            period *= 2
+        truth.append(pattern)
+
+    def falsified(lits) -> int:
+        out = full
+        for lit in lits:
+            out &= ~truth[lit] if lit > 0 else truth[-lit]
+        return out
+
+    feasible = 0 if f.has_empty_hard else full
+    for lits in f.hard:
+        feasible &= ~falsified(lits)
+    if not feasible:
+        return INF, None
+
+    # Every objective fits in as many planes as the total soft weight needs.
+    planes = [0] * sum(f.soft_weights).bit_length()
+    for lits, w in zip(f.soft, f.soft_weights):
+        members = falsified(lits) & feasible
+        carry = b = 0
+        while w or carry:
+            plane = planes[b]
+            if w & 1:
+                half_sum = plane ^ members
+                planes[b] = half_sum ^ carry
+                carry = (plane & members) | (carry & half_sum)
+            else:
+                planes[b] = plane ^ carry
+                carry &= plane
+            w >>= 1
+            b += 1
+
+    # Narrow to the minimizers from the top plane down; keep the lowest.
+    best, cost = feasible, 0
+    for b in reversed(range(len(planes))):
+        zero = best & ~planes[b]
+        if zero:
+            best = zero
+        else:
+            cost |= 1 << b
+    index = (best & -best).bit_length() - 1
+    return f.soft_base + cost, [0] + [(index >> (v - 1)) & 1 for v in range(1, n + 1)]

@@ -33,8 +33,8 @@ class ConfigError(ValueError):
 class SolverConfig:
     """Solver parameters; None fields are filled in from the preset.
 
-    Values are checked when the config is built; the budget only by
-    resolve(), as the CLI and bench fill in a default time limit later.
+    Values are checked when the config is built, the presence of a budget
+    by resolve(): the CLI and bench fill in a default time limit later.
 
     preset "auto" resolves to "pms" when every soft weight equals 1 and to
     "wpms" otherwise. h_inc is the additive bump for falsified hard clauses,
@@ -70,6 +70,10 @@ class SolverConfig:
             raise ConfigError("delta must be >= 1")
         if not self.decay_threshold > 1.0:
             raise ConfigError("decay_threshold must exceed 1")
+        if self.cutoff_seconds is not None and not self.cutoff_seconds >= 0:
+            raise ConfigError("cutoff_seconds must be >= 0")
+        if self.max_flips is not None and not self.max_flips >= 0:
+            raise ConfigError("max_flips must be >= 0")
 
     def resolve(self, formula: Formula) -> "SolverConfig":
         """A copy with the budget checked and the preset's values filled in."""
@@ -215,7 +219,6 @@ def solve(
 
     while True:
         if max_flips is not None and flips >= max_flips:
-            termination = TERM_FLIPS
             break
         if cutoff is not None and (flips & 1023) == 0 \
                 and perf_counter() - t0 >= cutoff:

@@ -72,8 +72,9 @@ def render_new(n: int, hard, soft) -> str:
 def enumerate_opt(f: Formula):
     """Definitional optimum: direct evaluation of every assignment.
 
-    Independent of both the solver and the vectorized oracle; only usable
-    for small variable counts.
+    Independent of both the solver and the bitset oracle; only usable for
+    small variable counts. Keeps the first strict minimum, so the witness
+    is the minimizer with the smallest assignment index.
     """
     assert f.num_vars <= 16
     best = None

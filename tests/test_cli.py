@@ -91,6 +91,15 @@ class TestSolveCommand:
         assert main(["solve", "/no/such/file.wcnf", "--k", "0"]) == 1
         assert capsys.readouterr().err == "error: k must be >= 1\n"
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--time-limit", "nan"], "cutoff_seconds must be >= 0"),
+        (["--time-limit", "-1"], "cutoff_seconds must be >= 0"),
+        (["--max-flips", "-5"], "max_flips must be >= 0"),
+    ])
+    def test_bad_budget_reported_before_reading_instance(self, capsys, flags, error):
+        assert main(["solve", "/no/such/file.wcnf", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.wcnf"
         p.write_text("p wcnf zzz\n")
@@ -223,15 +232,19 @@ class TestBenchCommand:
         assert captured.err == "error: duplicate config label 'a'\n"
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("config, error", [
-        ("a=--max-flips 10 --k 0;b=--max-flips 10", "k must be >= 1"),
-        ("nolabel --max-flips 10",
+    @pytest.mark.parametrize("args, error", [
+        (["--config", "a=--max-flips 10 --k 0;b=--max-flips 10"], "k must be >= 1"),
+        (["--config", "nolabel --max-flips 10"],
          "bad --config entry 'nolabel --max-flips 10': expected label=<flags>"),
-    ], ids=["bad-value", "no-label"])
-    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, config, error):
+        (["--config", "a=--bogus"],
+         "bad --config entry 'a=--bogus': unrecognized arguments: --bogus"),
+        (["--config", "a=--k x"],
+         "bad --config entry 'a=--k x': argument --k: invalid int value: 'x'"),
+        (["--time-limit", "nan"], "cutoff_seconds must be >= 0"),
+    ], ids=["bad-value", "no-label", "unknown-flag", "unparsable-value", "nan-time-limit"])
+    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, args, error):
         out_dir = tmp_path / "out"
-        rc = main(["bench", "--dir", str(bench_dir(tmp_path)), "--out", str(out_dir),
-                   "--config", config])
+        rc = main(["bench", "--dir", str(bench_dir(tmp_path)), "--out", str(out_dir), *args])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""

@@ -1,4 +1,5 @@
-"""Every imported name is used: an AST check over the package and the tests.
+"""Import hygiene: every imported name is used (an AST check over the
+package and the tests), and the package needs nothing outside the stdlib.
 
 A name counts as used when it occurs as a Name node (attribute access
 such as `random.Random` starts with one) or is listed in `__all__`.
@@ -7,6 +8,10 @@ such as `random.Random` starts with one) or is listed in `__all__`.
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,19 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_package_loads_only_stdlib_modules():
+    # Compare sys.modules before and after, so modules that the interpreter
+    # loads at startup (such as an editable install's path hook) don't count.
+    code = ("import sys; before = set(sys.modules); import spbmaxsat, spbmaxsat.cli; "
+            "import json; print(json.dumps(sorted({m.split('.')[0] "
+            "for m in set(sys.modules) - before})))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    # multiprocessing registers __main__ a second time as __mp_main__.
+    loaded = set(json.loads(out)) - {"__mp_main__"}
+    assert "spbmaxsat" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"spbmaxsat"} == set()

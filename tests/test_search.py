@@ -208,7 +208,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, init="nope").resolve(f)
 
-    @pytest.mark.parametrize("field", ["h_inc", "delta", "decay_threshold"])
+    @pytest.mark.parametrize("field", ["h_inc", "delta", "decay_threshold", "cutoff_seconds"])
     def test_rejects_nan(self, field):
         with pytest.raises(ConfigError, match=field):
             SolverConfig(max_flips=1, **{field: float("nan")})

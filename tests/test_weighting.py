@@ -216,6 +216,8 @@ class TestConfigValidation:
             ({"h_inc": 0}, "h_inc must be positive"),
             ({"delta": 0.9}, "delta must be >= 1"),
             ({"decay_threshold": 1.0}, "decay_threshold must exceed 1"),
+            ({"cutoff_seconds": -1.0}, "cutoff_seconds must be >= 0"),
+            ({"max_flips": -5}, "max_flips must be >= 0"),
         ):
             with pytest.raises(ConfigError, match=message):
-                SolverConfig(max_flips=1, **kw).resolve(f)
+                SolverConfig(**{"max_flips": 1, **kw}).resolve(f)
