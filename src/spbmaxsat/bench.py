@@ -39,12 +39,6 @@ class RunRecord:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "RunRecord":
-        d = json.loads(line)
-        d["trace"] = [tuple(row) for row in d["trace"]]
-        return cls(**d)
-
 
 def mse_score(bkc: int, found) -> float:
     """Per-instance score: 0 without a feasible solution, else
@@ -227,8 +221,3 @@ def run_benchmark(
         with open(out / "report.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     return report
-
-
-def load_records(path) -> List[RunRecord]:
-    with open(path) as fh:
-        return [RunRecord.from_json(line) for line in fh if line.strip()]

@@ -64,7 +64,11 @@ def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
             label, sep, flags = entry.partition("=")
             if not sep or not label.strip():
                 raise ConfigError(f"bad --config entry {entry!r}: expected label=<flags>")
-            args = parser.parse_args(shlex.split(flags))
+            try:
+                argv = shlex.split(flags)
+            except ValueError as exc:  # an unbalanced quote
+                fail(str(exc))
+            args = parser.parse_args(argv)
             out.append((label.strip(), _config_from_args(args)))
     return out
 

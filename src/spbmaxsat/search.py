@@ -40,7 +40,10 @@ class SolverConfig:
     "wpms" otherwise. h_inc is the additive bump for falsified hard clauses,
     delta the multiplicative proportion for the soft-conflict weight. Mode
     "constant" forces delta to 1 for that update; "all_adaptive" applies
-    the multiplicative rule to hard clauses as well.
+    the multiplicative rule to hard clauses as well. resolve() raises
+    decay_threshold to at least twice the largest soft weight (the decay
+    floor): below it, the hard weights left after a decay cannot outweigh a
+    soft gain, and the search stops improving.
     """
 
     k: Optional[int] = None
@@ -76,7 +79,8 @@ class SolverConfig:
             raise ConfigError("max_flips must be >= 0")
 
     def resolve(self, formula: Formula) -> "SolverConfig":
-        """A copy with the budget checked and the preset's values filled in."""
+        """A copy with the budget checked, the preset's values filled in and
+        the decay floor applied."""
         if self.cutoff_seconds is None and self.max_flips is None:
             raise ConfigError("set at least one of cutoff_seconds / max_flips")
         preset = self.preset
@@ -89,6 +93,7 @@ class SolverConfig:
             h_inc=self.h_inc if self.h_inc is not None else ph,
             delta=self.delta if self.delta is not None else pd,
             preset=preset,
+            decay_threshold=max(self.decay_threshold, 2.0 * max(formula.soft_weights, default=0)),
         )
 
 
@@ -117,25 +122,17 @@ class SolveResult:
         return "".join(str(b) for b in self.best_assignment[1:])
 
 
-def bms_pick(state: SearchState, k: int, rng: random.Random) -> int:
-    """Best of k positive-score candidates sampled with replacement.
-
-    Ties break towards the older flip stamp, then the lower variable id.
-    """
-    members = state.goodvars.members
-    m = len(members)
-    assert m > 0, "bms_pick requires a non-empty positive-score set"
-    if m == 1:
-        return members[0]
+def _best(state: SearchState, candidates) -> int:
+    """The candidate with the highest score hscore + w_spb * softdelta; ties
+    go to the older flip stamp, then the lower id. Repeats of the best (BMS
+    samples repeat) are skipped."""
     hs = state.hscore
     sd = state.softdelta
     w = state.spb.weight
     stamp = state.flip_stamp
-    rnd = rng.random
-    best_v = members[int(rnd() * m)]
+    best_v = candidates[0]
     best_s = hs[best_v] + w * sd[best_v]
-    for _ in range(k - 1):
-        u = members[int(rnd() * m)]
+    for u in candidates:
         if u == best_v:
             continue
         s = hs[u] + w * sd[u]
@@ -145,8 +142,19 @@ def bms_pick(state: SearchState, k: int, rng: random.Random) -> int:
     return best_v
 
 
+def bms_pick(state: SearchState, k: int, rng: random.Random) -> int:
+    """Best (see _best) of k positive-score candidates sampled with replacement."""
+    members = state.goodvars.members
+    assert members, "bms_pick requires a non-empty positive-score set"
+    if len(members) == 1:
+        return members[0]
+    # choices() takes each sample as members[floor(random() * len)]: one
+    # random() call per sample, which the goldens pin.
+    return _best(state, rng.choices(members, k=k))
+
+
 def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]:
-    """Highest-score variable of a random falsified clause, hard first.
+    """Best variable (see _best) of a random falsified clause, hard first.
 
     Returns None when nothing is falsified, i.e. the current assignment
     satisfies every clause and is therefore optimal.
@@ -156,19 +164,7 @@ def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]
         members, clause_vars = state.falsified_soft.members, state.formula.soft_vars
         if not members:
             return None
-    cvars = clause_vars[members[int(rng.random() * len(members))]]
-    hs = state.hscore
-    sd = state.softdelta
-    w = state.spb.weight
-    stamp = state.flip_stamp
-    best_v = cvars[0]
-    best_s = hs[best_v] + w * sd[best_v]
-    for u in cvars[1:]:
-        s = hs[u] + w * sd[u]
-        if s > best_s or (s == best_s and (stamp[u], u) < (stamp[best_v], best_v)):
-            best_v = u
-            best_s = s
-    return best_v
+    return _best(state, clause_vars[members[int(rng.random() * len(members))]])
 
 
 def solve(
@@ -194,21 +190,6 @@ def solve(
     best_cost = INF
     best_values: Optional[List[int]] = None
     trace: List[Tuple[int, float, int]] = []
-
-    def record(step: int, cost: int) -> None:
-        nonlocal best_cost, best_values
-        best_cost = cost
-        best_values = list(state.values)
-        trace.append((step, perf_counter() - t0, cost))
-        update_spb_bound(state.spb, cost)
-        if on_improvement is not None:
-            on_improvement(cost)
-
-    if not state.falsified_hard.members:
-        record(0, state.current_obj)
-        if best_cost == 0:
-            return SolveResult(best_values, 0, trace, 0, TERM_OPTIMUM, cfg)
-
     max_flips = cfg.max_flips
     cutoff = cfg.cutoff_seconds
     k = cfg.k
@@ -218,6 +199,17 @@ def solve(
     termination = TERM_FLIPS
 
     while True:
+        # The one improvement check: the start assignment, then each flip.
+        if not falsified_hard and state.current_obj < best_cost:
+            best_cost = state.current_obj
+            best_values = list(state.values)
+            trace.append((flips, perf_counter() - t0, best_cost))
+            update_spb_bound(state.spb, best_cost)
+            if on_improvement is not None:
+                on_improvement(best_cost)
+            if best_cost == 0:
+                termination = TERM_OPTIMUM
+                break
         if max_flips is not None and flips >= max_flips:
             break
         if cutoff is not None and (flips & 1023) == 0 \
@@ -232,16 +224,11 @@ def solve(
             v = pick_from_falsified(state, rng)
             if v is None:
                 # Nothing falsified at all: the current solution is optimal and
-                # was recorded at step 0 or right after the flip that reached it.
+                # was recorded when the loop last checked for an improvement.
                 termination = TERM_OPTIMUM
                 break
 
         flip(state, v)
         flips += 1
-        if not falsified_hard and state.current_obj < best_cost:
-            record(state.step - 1, state.current_obj)
-            if best_cost == 0:
-                termination = TERM_OPTIMUM
-                break
 
     return SolveResult(best_values, best_cost, trace, flips, termination, cfg)

@@ -78,15 +78,15 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     decay_weights(state, cfg)
 
 
-def decay_weights(state: SearchState, cfg: SolverConfig, force: bool = False) -> bool:
+def decay_weights(state: SearchState, cfg: SolverConfig) -> bool:
     """Halve all dynamic weights (DECAY_FACTOR), clamped below at 1.
 
-    No-op unless some weight exceeds the threshold (or force is set). The
-    constraint bound is a cost, not a weight, and is left untouched. The
-    satisfied-literal counts do not change, so hscore is rebuilt from them
-    and every variable's candidacy is re-tested.
+    No-op unless some weight exceeds the threshold. The constraint bound is
+    a cost, not a weight, and is left untouched. The satisfied-literal
+    counts do not change, so hscore is rebuilt from them and every
+    variable's candidacy is re-tested.
     """
-    if not force and state.spb.weight <= cfg.decay_threshold \
+    if state.spb.weight <= cfg.decay_threshold \
             and state.max_hard_weight <= cfg.decay_threshold:
         return False
     hw = state.hard_weight

@@ -80,6 +80,8 @@ def test_criterion_2_incremental_consistency():
         # A finite bound makes the soft-conflict updates actually fire.
         state.spb.bound = max(1, state.current_obj)
         cfg = SolverConfig(h_inc=3, delta=1.001)
+        # Just above the start weight 1: decays whenever a weight has grown.
+        decay_cfg = SolverConfig(decay_threshold=1.5)
         weighting_at = set(rng.sample(range(1000), 50))
         decay_at = set(rng.sample(range(1000), 2))
         for step in range(1000):
@@ -87,7 +89,7 @@ def test_criterion_2_incremental_consistency():
             if step in weighting_at:
                 spb_weighting(state, cfg)
             if step in decay_at:
-                decay_weights(state, cfg, force=True)
+                decay_weights(state, decay_cfg)
         assert_state_matches_scratch(state, tol=1e-6)
         checked += 1
     report(2, "incremental consistency", checked == 100,

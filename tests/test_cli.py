@@ -240,8 +240,11 @@ class TestBenchCommand:
          "bad --config entry 'a=--bogus': unrecognized arguments: --bogus"),
         (["--config", "a=--k x"],
          "bad --config entry 'a=--k x': argument --k: invalid int value: 'x'"),
+        (["--config", 'a=--seed "1'],
+         "bad --config entry 'a=--seed \"1': No closing quotation"),
         (["--time-limit", "nan"], "cutoff_seconds must be >= 0"),
-    ], ids=["bad-value", "no-label", "unknown-flag", "unparsable-value", "nan-time-limit"])
+    ], ids=["bad-value", "no-label", "unknown-flag", "unparsable-value", "unbalanced-quote",
+            "nan-time-limit"])
     def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, args, error):
         out_dir = tmp_path / "out"
         rc = main(["bench", "--dir", str(bench_dir(tmp_path)), "--out", str(out_dir), *args])

@@ -85,6 +85,16 @@ class TestPickFromFalsified:
         s = SearchState(f, [0, 1, 0, 0, 0, 0, 0, 1])
         assert pick_from_falsified(s, random.Random(0)) == 7
 
+    def test_tie_breaks_by_age_then_id(self):
+        f = Formula(2, [[1, 2]], [])
+        s = SearchState(f, [0, 0, 0])
+        assert score(s, 1) == score(s, 2) == 1
+        s.flip_stamp[1] = 9
+        s.flip_stamp[2] = 3
+        assert pick_from_falsified(s, random.Random(0)) == 2
+        s.flip_stamp[1] = 3
+        assert pick_from_falsified(s, random.Random(0)) == 1
+
     def test_none_when_everything_satisfied(self):
         f = Formula(2, [[1, 2]], [(2, [1])])
         s = SearchState(f, [0, 1, 0])
@@ -172,6 +182,25 @@ class TestSolve:
                        on_improvement=on_improvement)
         assert flips == result.flips > 0
 
+    def test_zero_flips_records_the_feasible_start(self):
+        result = solve(F1, SolverConfig(max_flips=0, seed=1))
+        [(step, _, cost)] = result.trace
+        assert (step, cost) == (0, result.best_cost)
+        assert F1.cost(result.best_assignment) == cost > 2
+        assert (result.flips, result.termination) == (0, "flips")
+
+    def test_optimal_start_stops_at_flip_zero(self):
+        f = Formula(2, [[1, 2]], [(3, [1])])
+        result = solve(f, SolverConfig(max_flips=100, seed=1))
+        assert [(s, c) for s, _, c in result.trace] == [(0, 0)]
+        assert (result.flips, result.termination) == (0, "optimum")
+
+    def test_infeasible_start_records_nothing(self):
+        f = Formula(1, [[1], [-1]], [(1, [1])])
+        result = solve(f, SolverConfig(max_flips=0, seed=1))
+        assert result.trace == []
+        assert (result.flips, result.termination) == (0, "flips")
+
     def test_random_init_mode(self):
         result = solve(F1, SolverConfig(max_flips=5_000, seed=1, init="random"))
         assert result.best_cost == 2
@@ -207,6 +236,11 @@ class TestConfig:
             SolverConfig(max_flips=1, preset="nope").resolve(f)
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, init="nope").resolve(f)
+
+    def test_decay_threshold_floor(self):
+        f = Formula(2, [[1, 2]], [(1, [1]), (700, [2])])
+        assert SolverConfig(max_flips=1, decay_threshold=300).resolve(f).decay_threshold == 1400
+        assert SolverConfig(max_flips=1).resolve(f).decay_threshold == 1e7
 
     @pytest.mark.parametrize("field", ["h_inc", "delta", "decay_threshold", "cutoff_seconds"])
     def test_rejects_nan(self, field):

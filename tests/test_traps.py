@@ -1,8 +1,8 @@
 """Known search traps, pinned until a fix lands.
 
-Every case is xfail(strict=True): it fails today because of a defect in the
-search, and a change that fixes the defect turns it into an XPASS, which
-fails the run until the marker is removed.
+An open trap is xfail(strict=True): it fails today because of a defect in
+the search, and a change that fixes the defect turns it into an XPASS, which
+fails the run until the marker is removed. A fixed trap keeps its test.
 """
 from __future__ import annotations
 
@@ -32,13 +32,12 @@ def test_acceptance_instance_reaches_optimum(idx, variant):
     assert row["best"] == row["oracle"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="decay below the soft-weight scale stalls the search")
 def test_low_decay_threshold_still_improves():
     """Golden weighted instance (soft weights 1..1000), seed 3, 3000 flips.
 
-    With decay_threshold 1000 the run never improves on its step-0 cost
-    36354; with 2000 or the default 1e7 it reaches 30686.
+    Taken as given, decay_threshold 1000 would never improve on the step-0
+    cost 36354; resolve() raises it to twice the largest soft weight, and
+    at 2000 the run reaches 30686.
     """
     params = dict(INSTANCES["weighted"])
     n, hard, soft = random_parts(random.Random(params.pop("seed")), **params)

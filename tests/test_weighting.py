@@ -187,7 +187,7 @@ class TestDecay:
         for _ in range(30):
             flip(s, rng.randint(1, n))
             spb_weighting(s, cfg)
-        decay_weights(s, cfg, force=True)
+        assert decay_weights(s, SolverConfig(decay_threshold=1.5))
         assert_state_matches_scratch(s)
         assert min(s.hard_weight, default=1.0) >= 1.0
         assert s.spb.weight >= 1.0
