@@ -97,7 +97,8 @@ def cmd_solve(args) -> int:
     rate = result.flips / elapsed if elapsed > 0 else 0.0
     print(
         f"flips={result.flips} time={elapsed:.3f}s rate={rate:.0f}/s "
-        f"termination={result.termination} preset={result.config.preset}",
+        f"termination={result.termination} preset={result.config.preset} "
+        f"backend={result.backend}",
         file=sys.stderr,
     )
     return 0

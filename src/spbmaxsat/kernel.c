@@ -1,0 +1,440 @@
+/* Search kernel: the flip, pick and weighting steps of search.solve in C.
+ *
+ * A straight port of state.flip (with refresh_candidacy and the IndexSet
+ * add/discard), search._best, bms_pick and pick_from_falsified, and
+ * weighting.spb_weighting and decay_weights. Every array lives in a Python
+ * array.array that kernel.py allocates and keeps alive; this file only
+ * reads and writes through the pointers in struct kstate, whose layout
+ * kernel.py mirrors field for field.
+ *
+ * A run is flip for flip the Python one:
+ *  - the same order: touched variables, set members and score sums follow
+ *    the Python loops exactly, so floating-point sums round the same way
+ *    (build with -ffp-contract=off: a fused multiply-add rounds once);
+ *  - the same random numbers: CPython's MT19937 and random(), seeded from
+ *    random.Random.getstate();
+ *  - the same types: hard weights, hscore and the SPB weight are doubles,
+ *    soft weights, softdelta and the objective are int64.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <time.h>
+
+#define EPS 1e-9
+#define DECAY_FACTOR 0.5
+
+/* The parts of solve's loop body that a profiled kn_advance times. */
+enum { PART_BMS_PICK, PART_PICK_FROM_FALSIFIED, PART_FLIP, PART_SPB_WEIGHTING, PARTS };
+
+/* One clause kind. Literals are stored per clause (CSR: lits[off[c]] up to
+ * lits[off[c + 1]]); occ lists the clause ids of each literal in clause
+ * order, slot 2 * v + 1 for v and 2 * v for -v. */
+typedef struct {
+    int64_t num_clauses;
+    const int32_t *lits, *off;
+    int32_t *occ_off, *occ;
+    int32_t *sat_count, *sat_var;
+    int32_t *falsified, *falsified_pos; /* IndexSet: members, then positions */
+    int64_t num_falsified;
+} kind;
+
+typedef struct {
+    int64_t num_vars, k;
+    double h_inc, hard_delta, spb_delta, decay_threshold;
+    kind hard, soft;
+    const int64_t *soft_weight;
+    double *hard_weight;
+    int32_t *values;
+    int64_t *flip_stamp;
+    double *hscore;
+    int64_t *softdelta;
+    int32_t *goodvars, *goodvars_pos;
+    int64_t num_goodvars;
+    int32_t *touched; /* scratch: total literals + num_vars + 1 entries */
+    uint32_t *mt;     /* 624 state words, then the index */
+    int64_t step, current_obj;
+    int64_t has_bound, bound; /* the SPB bound: the best cost so far */
+    double max_hard_weight, spb_weight;
+    int64_t optimum; /* set by kn_advance when nothing is falsified */
+    int64_t profile; /* nonzero: count and time the parts of kn_advance */
+    int64_t part_calls[PARTS], part_ns[PARTS];
+} kstate;
+
+int64_t kn_state_size(void) { return (int64_t)sizeof(kstate); }
+
+/* CPython's genrand_uint32 and random_random (Modules/_randommodule.c). */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (mt[MT_N] >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+static double random01(uint32_t *mt)
+{
+    uint32_t a = genrand_uint32(mt) >> 5;
+    uint32_t b = genrand_uint32(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* IndexSet.add / IndexSet.discard */
+static inline void set_add(int32_t *members, int32_t *pos, int64_t *size, int32_t x)
+{
+    if (pos[x] < 0) {
+        pos[x] = (int32_t)*size;
+        members[(*size)++] = x;
+    }
+}
+
+static inline void set_discard(int32_t *members, int32_t *pos, int64_t *size, int32_t x)
+{
+    int32_t i = pos[x];
+    if (i >= 0) {
+        int32_t last = members[*size - 1];
+        members[i] = last;
+        pos[last] = i;
+        (*size)--;
+        pos[x] = -1;
+    }
+}
+
+static inline int lit_true(const int32_t *values, int32_t lit)
+{
+    return lit > 0 ? values[lit] : !values[-lit];
+}
+
+static inline double score(const kstate *s, int32_t v)
+{
+    return s->hscore[v] + s->spb_weight * (double)s->softdelta[v];
+}
+
+/* refresh_candidacy for one variable */
+static inline void refresh_var(kstate *s, int32_t u)
+{
+    if (score(s, u) > EPS)
+        set_add(s->goodvars, s->goodvars_pos, &s->num_goodvars, u);
+    else
+        set_discard(s->goodvars, s->goodvars_pos, &s->num_goodvars, u);
+}
+
+static void refresh_candidacy(kstate *s, const int32_t *vars, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        refresh_var(s, vars[i]);
+}
+
+/* The per-kind loop of state.flip, for a kind whose weights have type W and
+ * whose scores are kept in an array of the same type. v has just been set
+ * to 1 - old; the variables whose score changed are appended to
+ * s->touched from position nt, and the new end is returned. */
+#define DEFINE_FLIP_KIND(NAME, W)                                                  \
+    static int64_t NAME(kstate *s, kind *c, const W *weight, W *scores, int32_t v, \
+                        int old, int64_t nt)                                       \
+    {                                                                              \
+        const int32_t *values = s->values, *lits = c->lits, *off = c->off;         \
+        int32_t *count = c->sat_count, *sat_var = c->sat_var, *t = s->touched;     \
+        int64_t made = 2 * (int64_t)v + !old, broken = 2 * (int64_t)v + old;       \
+        for (int32_t j = c->occ_off[made]; j < c->occ_off[made + 1]; j++) {        \
+            int32_t cid = c->occ[j], n = count[cid];                               \
+            if (n == 0) {                                                          \
+                W w = weight[cid];                                                 \
+                set_discard(c->falsified, c->falsified_pos, &c->num_falsified, cid); \
+                for (int32_t l = off[cid]; l < off[cid + 1]; l++) {                \
+                    int32_t u = abs(lits[l]);                                      \
+                    scores[u] -= w;                                                \
+                    t[nt++] = u;                                                   \
+                }                                                                  \
+                scores[v] -= w;                                                    \
+                sat_var[cid] = v;                                                  \
+                count[cid] = 1;                                                    \
+            } else if (n == 1) {                                                   \
+                int32_t x = sat_var[cid];                                          \
+                scores[x] += weight[cid];                                          \
+                t[nt++] = x;                                                       \
+                count[cid] = 2;                                                    \
+            } else {                                                               \
+                count[cid] = n + 1;                                                \
+            }                                                                      \
+        }                                                                          \
+        for (int32_t j = c->occ_off[broken]; j < c->occ_off[broken + 1]; j++) {    \
+            int32_t cid = c->occ[j], n = count[cid];                               \
+            if (n == 1) {                                                          \
+                W w = weight[cid];                                                 \
+                set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
+                scores[v] += w;                                                    \
+                for (int32_t l = off[cid]; l < off[cid + 1]; l++) {                \
+                    int32_t u = abs(lits[l]);                                      \
+                    scores[u] += w;                                                \
+                    t[nt++] = u;                                                   \
+                }                                                                  \
+                count[cid] = 0;                                                    \
+            } else if (n == 2) {                                                   \
+                int32_t x = 0;                                                     \
+                for (int32_t l = off[cid]; l < off[cid + 1]; l++) {                \
+                    if (lit_true(values, lits[l])) {                               \
+                        x = abs(lits[l]);                                          \
+                        break;                                                     \
+                    }                                                              \
+                }                                                                  \
+                sat_var[cid] = x;                                                  \
+                scores[x] -= weight[cid];                                          \
+                t[nt++] = x;                                                       \
+                count[cid] = 1;                                                    \
+            } else {                                                               \
+                count[cid] = n - 1;                                                \
+            }                                                                      \
+        }                                                                          \
+        return nt;                                                                 \
+    }
+
+DEFINE_FLIP_KIND(flip_hard, double)
+DEFINE_FLIP_KIND(flip_soft, int64_t)
+
+static void flip(kstate *s, int32_t v)
+{
+    int old = s->values[v];
+    s->values[v] = 1 - old;
+    s->flip_stamp[v] = s->step++;
+    s->current_obj -= s->softdelta[v];
+    int64_t nt = flip_hard(s, &s->hard, s->hard_weight, s->hscore, v, old, 0);
+    nt = flip_soft(s, &s->soft, s->soft_weight, s->softdelta, v, old, nt);
+    refresh_candidacy(s, s->touched, nt);
+}
+
+/* search._best: higher score, then the older flip stamp, then the lower id;
+ * a candidate equal to the current best is skipped. */
+static inline int better(const kstate *s, int32_t u, double su, int32_t b, double sb)
+{
+    return su > sb || (su == sb && (s->flip_stamp[u] < s->flip_stamp[b]
+                                    || (s->flip_stamp[u] == s->flip_stamp[b] && u < b)));
+}
+
+static int32_t bms_pick(kstate *s)
+{
+    const int32_t *members = s->goodvars;
+    int64_t n = s->num_goodvars;
+    if (n == 1)
+        return members[0];
+    /* random.choices: members[floor(random() * n)] per sample */
+    double dn = (double)n;
+    int32_t best = members[(int64_t)(random01(s->mt) * dn)];
+    double best_s = score(s, best);
+    for (int64_t i = 1; i < s->k; i++) {
+        int32_t u = members[(int64_t)(random01(s->mt) * dn)];
+        if (u == best)
+            continue;
+        double su = score(s, u);
+        if (better(s, u, su, best, best_s)) {
+            best = u;
+            best_s = su;
+        }
+    }
+    return best;
+}
+
+/* Best variable of a random falsified clause, hard first; -1 when nothing
+ * is falsified. */
+static int32_t pick_from_falsified(kstate *s)
+{
+    kind *c = s->hard.num_falsified ? &s->hard : &s->soft;
+    if (!c->num_falsified)
+        return -1;
+    int32_t cid = c->falsified[(int64_t)(random01(s->mt) * (double)c->num_falsified)];
+    int32_t best = abs(c->lits[c->off[cid]]);
+    double best_s = score(s, best);
+    for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {
+        int32_t u = abs(c->lits[l]);
+        if (u == best)
+            continue;
+        double su = score(s, u);
+        if (better(s, u, su, best, best_s)) {
+            best = u;
+            best_s = su;
+        }
+    }
+    return best;
+}
+
+static void decay_weights(kstate *s)
+{
+    if (s->spb_weight <= s->decay_threshold && s->max_hard_weight <= s->decay_threshold)
+        return;
+    kind *h = &s->hard;
+    double *hw = s->hard_weight, w;
+    for (int64_t cid = 0; cid < h->num_clauses; cid++) {
+        w = hw[cid] * DECAY_FACTOR;
+        hw[cid] = w > 1.0 ? w : 1.0;
+    }
+    w = s->spb_weight * DECAY_FACTOR;
+    s->spb_weight = w > 1.0 ? w : 1.0;
+    s->max_hard_weight = h->num_clauses ? hw[0] : 1.0; /* max(hw, default=1.0) */
+    for (int64_t cid = 1; cid < h->num_clauses; cid++) {
+        if (hw[cid] > s->max_hard_weight)
+            s->max_hard_weight = hw[cid];
+    }
+    /* state._add_scores over the hard clauses, from zero */
+    for (int64_t v = 0; v <= s->num_vars; v++)
+        s->hscore[v] = 0.0;
+    for (int64_t cid = 0; cid < h->num_clauses; cid++) {
+        if (h->sat_count[cid] == 0) {
+            for (int32_t l = h->off[cid]; l < h->off[cid + 1]; l++)
+                s->hscore[abs(h->lits[l])] += hw[cid];
+        } else if (h->sat_count[cid] == 1) {
+            s->hscore[h->sat_var[cid]] -= hw[cid];
+        }
+    }
+    for (int64_t v = 1; v <= s->num_vars; v++)
+        refresh_var(s, (int32_t)v);
+}
+
+static void spb_weighting(kstate *s)
+{
+    kind *h = &s->hard, *sf = &s->soft;
+    int32_t *t = s->touched;
+    int64_t nt = 0;
+    for (int64_t i = 0; i < h->num_falsified; i++) {
+        int32_t cid = h->falsified[i];
+        double old = s->hard_weight[cid];
+        double w = s->hard_delta * (old + s->h_inc);
+        s->hard_weight[cid] = w;
+        double dw = w - old;
+        for (int32_t l = h->off[cid]; l < h->off[cid + 1]; l++) {
+            int32_t u = abs(h->lits[l]);
+            s->hscore[u] += dw;
+            t[nt++] = u;
+        }
+        if (w > s->max_hard_weight)
+            s->max_hard_weight = w;
+    }
+    if (s->has_bound && s->current_obj >= s->bound) {
+        s->spb_weight = s->spb_delta * (s->spb_weight + 1.0);
+        for (int64_t i = 0; i < sf->num_falsified; i++) {
+            int32_t cid = sf->falsified[i];
+            for (int32_t l = sf->off[cid]; l < sf->off[cid + 1]; l++)
+                t[nt++] = abs(sf->lits[l]);
+        }
+        for (int64_t i = 0; i < s->num_goodvars; i++)
+            t[nt++] = s->goodvars[i];
+    }
+    refresh_candidacy(s, t, nt);
+    decay_weights(s);
+}
+
+/* The occurrence lists, satisfied-literal counts and set positions of one
+ * kind, from its literals, the values and the falsified members. sat_var
+ * gets the last satisfying variable of each clause, as SearchState's build
+ * does: where the count is 1 (the only place it is read) that is the sole
+ * one, whatever the history of the state. */
+static void setup_kind(kind *c, const int32_t *values, int64_t num_vars)
+{
+    int64_t slots = 2 * (num_vars + 1), total = c->off[c->num_clauses];
+    for (int64_t i = 0; i <= slots; i++)
+        c->occ_off[i] = 0;
+    for (int64_t l = 0; l < total; l++)
+        c->occ_off[2 * (int64_t)abs(c->lits[l]) + (c->lits[l] > 0) + 1]++;
+    for (int64_t i = 0; i < slots; i++)
+        c->occ_off[i + 1] += c->occ_off[i];
+    /* occ_off[slot] is the next free place of each slot while filling ... */
+    for (int32_t cid = 0; cid < c->num_clauses; cid++)
+        for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++)
+            c->occ[c->occ_off[2 * (int64_t)abs(c->lits[l]) + (c->lits[l] > 0)]++] = cid;
+    /* ... and the start of the next slot after it: shift back by one. */
+    for (int64_t i = slots; i > 0; i--)
+        c->occ_off[i] = c->occ_off[i - 1];
+    c->occ_off[0] = 0;
+
+    for (int32_t cid = 0; cid < c->num_clauses; cid++) {
+        int32_t n = 0;
+        for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {
+            if (lit_true(values, c->lits[l])) {
+                n++;
+                c->sat_var[cid] = abs(c->lits[l]);
+            }
+        }
+        c->sat_count[cid] = n;
+        c->falsified_pos[cid] = -1;
+    }
+    for (int32_t i = 0; i < c->num_falsified; i++)
+        c->falsified_pos[c->falsified[i]] = i;
+}
+
+/* Fill in what kn_advance needs beyond the copied state: see setup_kind,
+ * and the positions of the goodvars members. */
+void kn_setup(kstate *s)
+{
+    setup_kind(&s->hard, s->values, s->num_vars);
+    setup_kind(&s->soft, s->values, s->num_vars);
+    for (int64_t v = 0; v <= s->num_vars; v++)
+        s->goodvars_pos[v] = -1;
+    for (int32_t i = 0; i < s->num_goodvars; i++)
+        s->goodvars_pos[s->goodvars[i]] = i;
+}
+
+static inline int64_t now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+#define TIMED(s, part, stmt)                             \
+    do {                                                 \
+        if ((s)->profile) {                              \
+            int64_t t0_ = now_ns();                      \
+            stmt;                                        \
+            (s)->part_ns[part] += now_ns() - t0_;        \
+            (s)->part_calls[part]++;                     \
+        } else {                                         \
+            stmt;                                        \
+        }                                                \
+    } while (0)
+
+/* Run up to n steps of solve's loop body: pick (BMS, or weighting and a
+ * falsified-clause pick at a local optimum), then flip. Returns the number
+ * of flips made. Stops early right after a flip that leaves no hard clause
+ * falsified and the objective below the bound, or, with s->optimum set,
+ * when nothing is falsified. With s->profile set, each part's calls and
+ * nanoseconds are added up in part_calls and part_ns. */
+int64_t kn_advance(kstate *s, int64_t n)
+{
+    s->optimum = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t v;
+        if (s->num_goodvars) {
+            TIMED(s, PART_BMS_PICK, v = bms_pick(s));
+        } else {
+            TIMED(s, PART_SPB_WEIGHTING, spb_weighting(s));
+            TIMED(s, PART_PICK_FROM_FALSIFIED, v = pick_from_falsified(s));
+            if (v < 0) {
+                s->optimum = 1;
+                return i;
+            }
+        }
+        TIMED(s, PART_FLIP, flip(s, v));
+        if (!s->hard.num_falsified && (!s->has_bound || s->current_obj < s->bound))
+            return i + 1;
+    }
+    return n;
+}

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
+from . import kernel
 from .formula import INF, Formula
 from .initialization import decimation_init, random_init
 from .state import SearchState, flip
@@ -103,7 +104,9 @@ class SolveResult:
 
     trace holds one (flip step, wall seconds, cost) row per strict
     improvement; best_cost is inf and best_assignment None when no feasible
-    solution was found.
+    solution was found. backend is "c" when the search ran in the C kernel
+    from its first flip on, "python" when it ran in Python or ended before
+    its first flip.
     """
 
     best_assignment: Optional[List[int]]
@@ -112,6 +115,7 @@ class SolveResult:
     flips: int
     termination: str
     config: SolverConfig
+    backend: str = "python"
 
     @property
     def feasible(self) -> bool:
@@ -167,6 +171,47 @@ def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]
     return _best(state, clause_vars[members[int(rng.random() * len(members))]])
 
 
+class _PythonWalk:
+    """solve's search body in Python: the fallback when the C kernel (see
+    kernel.py) does not load, and the reference it is tested against."""
+
+    def __init__(self, state: SearchState, cfg: SolverConfig, rng: random.Random):
+        self.state, self.cfg, self.rng = state, cfg, rng
+
+    def cost(self) -> float:
+        """The objective if no hard clause is falsified, inf otherwise."""
+        return INF if self.state.falsified_hard.members else self.state.current_obj
+
+    def assignment(self) -> List[int]:
+        return list(self.state.values)
+
+    def set_bound(self, cost) -> None:
+        update_spb_bound(self.state.spb, cost)
+
+    def advance(self, n: int) -> Tuple[int, bool]:
+        """Run up to n flips: a BMS pick, or weighting and a falsified-clause
+        pick at a local optimum, then the flip. Stop right after a flip that
+        beats the bound with no hard clause falsified. Returns the flips made
+        and whether the search stopped because nothing is falsified.
+        """
+        state, cfg, rng = self.state, self.cfg, self.rng
+        goodvars = state.goodvars.members
+        falsified_hard = state.falsified_hard.members
+        spb = state.spb
+        for i in range(n):
+            if goodvars:
+                v = bms_pick(state, cfg.k, rng)
+            else:
+                spb_weighting(state, cfg)
+                v = pick_from_falsified(state, rng)
+                if v is None:
+                    return i, True
+            flip(state, v)
+            if not falsified_hard and state.current_obj < spb.bound:
+                return i + 1, False
+        return n, False
+
+
 def solve(
     formula: Formula,
     config: Optional[SolverConfig] = None,
@@ -175,6 +220,8 @@ def solve(
     """Run the local search until the flip or time budget is exhausted.
 
     Every strict improvement triggers on_improvement(cost) immediately.
+    The flips run in the C kernel when it loads, else in Python; both make
+    the same flips.
     """
     cfg = (config or SolverConfig()).resolve(formula)
     rng = random.Random(cfg.seed)
@@ -185,26 +232,24 @@ def solve(
 
     values = decimation_init(formula, rng) if cfg.init == "decimation" \
         else random_init(formula, rng)
-    state = SearchState(formula, values)
+    walk = _PythonWalk(SearchState(formula, values), cfg, rng)
 
     best_cost = INF
     best_values: Optional[List[int]] = None
     trace: List[Tuple[int, float, int]] = []
     max_flips = cfg.max_flips
     cutoff = cfg.cutoff_seconds
-    k = cfg.k
-    goodvars = state.goodvars.members
-    falsified_hard = state.falsified_hard.members
     flips = 0
     termination = TERM_FLIPS
 
     while True:
-        # The one improvement check: the start assignment, then each flip.
-        if not falsified_hard and state.current_obj < best_cost:
-            best_cost = state.current_obj
-            best_values = list(state.values)
+        # The one improvement check: the start assignment, then each advance.
+        cost = walk.cost()
+        if cost < best_cost:
+            best_cost = cost
+            best_values = walk.assignment()
             trace.append((flips, perf_counter() - t0, best_cost))
-            update_spb_bound(state.spb, best_cost)
+            walk.set_bound(best_cost)
             if on_improvement is not None:
                 on_improvement(best_cost)
             if best_cost == 0:
@@ -216,19 +261,27 @@ def solve(
                 and perf_counter() - t0 >= cutoff:
             termination = TERM_TIME
             break
+        if flips == 0:
+            # The first flip: hand over to the C kernel. Runs that make no
+            # flip never pay for the copy.
+            walk = kernel.handoff(walk.state, cfg, rng) or walk
 
-        if goodvars:
-            v = bms_pick(state, k, rng)
-        else:
-            spb_weighting(state, cfg)
-            v = pick_from_falsified(state, rng)
-            if v is None:
-                # Nothing falsified at all: the current solution is optimal and
-                # was recorded when the loop last checked for an improvement.
-                termination = TERM_OPTIMUM
-                break
+        # Up to the next time check, within the flip budget.
+        n = 1024 - (flips & 1023)
+        if max_flips is not None:
+            n = min(n, max_flips - flips)
+        done, nothing_falsified = walk.advance(n)
+        flips += done
+        if nothing_falsified:
+            # The current solution is optimal and was recorded when the loop
+            # last checked for an improvement.
+            termination = TERM_OPTIMUM
+            break
 
-        flip(state, v)
-        flips += 1
+    backend = "c" if isinstance(walk, kernel.Walk) else "python"
+    return SolveResult(best_values, best_cost, trace, flips, termination, cfg, backend)
 
-    return SolveResult(best_values, best_cost, trace, flips, termination, cfg)
+
+# Build or load the kernel at import, not at the first flip: a compile takes
+# about half a second, and a timed run should not pay it.
+kernel.load()

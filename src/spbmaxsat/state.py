@@ -193,118 +193,74 @@ def flip(state: SearchState, v: int) -> None:
     values[v] = 1 - old
     state.flip_stamp[v] = state.step
     state.step += 1
-
-    hscore_ = state.hscore
-    softdelta_ = state.softdelta
-    hard_weight = state.hard_weight
-    soft_weights = f.soft_weights
-    sat_count_h = state.sat_count_hard
-    sat_var_h = state.sat_var_hard
-    sat_count_s = state.sat_count_soft
-    sat_var_s = state.sat_var_soft
-    fal_h = state.falsified_hard
-    fal_s = state.falsified_soft
-    hard_vars = f.hard_vars
-    soft_vars = f.soft_vars
-    hard_lits = f.hard
-    soft_lits = f.soft
     # softdelta[v] is exactly the objective drop of flipping v.
-    state.current_obj -= softdelta_[v]
-    touched = []
-
+    state.current_obj -= state.softdelta[v]
     if old:
-        true_h, false_h = f.occ_hard_neg[v], f.occ_hard_pos[v]
-        true_s, false_s = f.occ_soft_neg[v], f.occ_soft_pos[v]
+        made_h, broken_h = f.occ_hard_neg[v], f.occ_hard_pos[v]
+        made_s, broken_s = f.occ_soft_neg[v], f.occ_soft_pos[v]
     else:
-        true_h, false_h = f.occ_hard_pos[v], f.occ_hard_neg[v]
-        true_s, false_s = f.occ_soft_pos[v], f.occ_soft_neg[v]
-
-    for cid in true_h:
-        n = sat_count_h[cid]
-        if n == 0:
-            w = hard_weight[cid]
-            fal_h.discard(cid)
-            for u in hard_vars[cid]:
-                hscore_[u] -= w
-                touched.append(u)
-            hscore_[v] -= w
-            sat_var_h[cid] = v
-            sat_count_h[cid] = 1
-        elif n == 1:
-            x = sat_var_h[cid]
-            hscore_[x] += hard_weight[cid]
-            touched.append(x)
-            sat_count_h[cid] = 2
-        else:
-            sat_count_h[cid] = n + 1
-
-    for cid in false_h:
-        n = sat_count_h[cid]
-        if n == 1:
-            w = hard_weight[cid]
-            fal_h.add(cid)
-            hscore_[v] += w
-            for u in hard_vars[cid]:
-                hscore_[u] += w
-                touched.append(u)
-            sat_count_h[cid] = 0
-        elif n == 2:
-            w = hard_weight[cid]
-            x = 0
-            for lit in hard_lits[cid]:
-                if values[lit] if lit > 0 else not values[-lit]:
-                    x = abs(lit)
-                    break
-            sat_var_h[cid] = x
-            hscore_[x] -= w
-            touched.append(x)
-            sat_count_h[cid] = 1
-        else:
-            sat_count_h[cid] = n - 1
-
-    for cid in true_s:
-        n = sat_count_s[cid]
-        if n == 0:
-            w = soft_weights[cid]
-            fal_s.discard(cid)
-            for u in soft_vars[cid]:
-                softdelta_[u] -= w
-                touched.append(u)
-            softdelta_[v] -= w
-            sat_var_s[cid] = v
-            sat_count_s[cid] = 1
-        elif n == 1:
-            x = sat_var_s[cid]
-            softdelta_[x] += soft_weights[cid]
-            touched.append(x)
-            sat_count_s[cid] = 2
-        else:
-            sat_count_s[cid] = n + 1
-
-    for cid in false_s:
-        n = sat_count_s[cid]
-        if n == 1:
-            w = soft_weights[cid]
-            fal_s.add(cid)
-            softdelta_[v] += w
-            for u in soft_vars[cid]:
-                softdelta_[u] += w
-                touched.append(u)
-            sat_count_s[cid] = 0
-        elif n == 2:
-            x = 0
-            for lit in soft_lits[cid]:
-                if values[lit] if lit > 0 else not values[-lit]:
-                    x = abs(lit)
-                    break
-            sat_var_s[cid] = x
-            softdelta_[x] -= soft_weights[cid]
-            touched.append(x)
-            sat_count_s[cid] = 1
-        else:
-            sat_count_s[cid] = n - 1
-
+        made_h, broken_h = f.occ_hard_pos[v], f.occ_hard_neg[v]
+        made_s, broken_s = f.occ_soft_pos[v], f.occ_soft_neg[v]
+    touched = []
+    _flip_kind(values, v, made_h, broken_h, f.hard, f.hard_vars, state.hard_weight,
+               state.hscore, state.sat_count_hard, state.sat_var_hard,
+               state.falsified_hard, touched)
+    _flip_kind(values, v, made_s, broken_s, f.soft, f.soft_vars, f.soft_weights,
+               state.softdelta, state.sat_count_soft, state.sat_var_soft,
+               state.falsified_soft, touched)
     refresh_candidacy(state, touched)
+
+
+def _flip_kind(values, v, made, broken, clauses, clause_vars, weights, scores,
+               count, sat_var, falsified, touched) -> None:
+    """One clause kind's part of flip, after values[v] changed.
+
+    made holds the clauses of the kind where v's literal turned true, broken
+    those where it turned false. Appends every variable whose score changed
+    to touched.
+    """
+    for cid in made:
+        n = count[cid]
+        if n == 0:
+            w = weights[cid]
+            falsified.discard(cid)
+            for u in clause_vars[cid]:
+                scores[u] -= w
+                touched.append(u)
+            scores[v] -= w
+            sat_var[cid] = v
+            count[cid] = 1
+        elif n == 1:
+            x = sat_var[cid]
+            scores[x] += weights[cid]
+            touched.append(x)
+            count[cid] = 2
+        else:
+            count[cid] = n + 1
+
+    for cid in broken:
+        n = count[cid]
+        if n == 1:
+            w = weights[cid]
+            falsified.add(cid)
+            scores[v] += w
+            for u in clause_vars[cid]:
+                scores[u] += w
+                touched.append(u)
+            count[cid] = 0
+        elif n == 2:
+            # The one literal left true.
+            x = 0
+            for lit in clauses[cid]:
+                if values[lit] if lit > 0 else not values[-lit]:
+                    x = abs(lit)
+                    break
+            sat_var[cid] = x
+            scores[x] -= weights[cid]
+            touched.append(x)
+            count[cid] = 1
+        else:
+            count[cid] = n - 1
 
 
 def recompute_from_scratch(formula: Formula, values: List[int],

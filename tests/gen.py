@@ -120,6 +120,15 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
     assert state.goodvars.as_set() == expected_good
 
 
+def same_run(a, b) -> bool:
+    """True when two solve results (of the two backends, say) agree: the
+    same improvements at the same steps, model, flips and termination."""
+    def run(r):
+        return ([(step, cost) for step, _, cost in r.trace], r.best_assignment, r.best_cost,
+                r.flips, r.termination)
+    return run(a) == run(b)
+
+
 def weight_growth(mode: str, delta: float, events: int):
     """Growth of the solver's own weights under repeated spb_weighting calls.
 

@@ -13,6 +13,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from spbmaxsat import kernel
 from spbmaxsat.bench import RunRecord, aggregate, compute_wins, mse_score
 from spbmaxsat.cli import main
 from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
@@ -26,6 +27,7 @@ from gen import (
     random_parts,
     render_new,
     render_old,
+    same_run,
     weight_growth,
 )
 
@@ -131,12 +133,17 @@ def test_criterion_4_spb_lifecycle(monkeypatch):
                 if state.spb.bound != improvements[-1]:
                     violations.append("bound != best cost")
 
-        monkeypatch.setattr("spbmaxsat.search.flip", checked_flip)
         cfg = SolverConfig(max_flips=20_000, seed=1000 + i,
                            init="random" if i % 2 else "decimation")
-        result = solve(f, cfg, on_improvement=on_improvement)
+        # checked_flip sees the flips of the Python body only; the C kernel
+        # must then make the same run.
+        with monkeypatch.context() as mp:
+            mp.setattr(kernel, "load", lambda: None)
+            mp.setattr("spbmaxsat.search.flip", checked_flip)
+            result = solve(f, cfg, on_improvement=on_improvement)
         assert not violations, violations[:3]
         assert len(flips) == result.flips
+        assert same_run(solve(f, cfg), result)
         assert all(a > b for a, b in zip(improvements, improvements[1:]))
         if result.feasible:
             assert improvements and result.best_cost == improvements[-1]

@@ -6,7 +6,8 @@ trace rows (step, cost), flips and termination with tests/golden.json.
 The cases cover every --mode x --init pair, both file formats, low decay
 thresholds (so decay_weights fires) and a 2000-variable instance on which
 almost every pick is a BMS pick. A refactor that changes no behaviour
-must leave all of them byte-identical.
+must leave all of them byte-identical, with the flips made by the C
+kernel and by the Python body alike.
 
 Re-record only for an intended behaviour change:
     PYTHONPATH=src python tests/test_golden.py
@@ -18,11 +19,12 @@ import json
 import random
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import Optional
 from unittest.mock import patch
 
 import pytest
 
-from spbmaxsat import cli
+from spbmaxsat import cli, kernel
 from spbmaxsat.search import solve
 
 from gen import random_parts, render_new, render_old
@@ -75,7 +77,7 @@ def write_instance(directory: Path, instance: str, fmt: str) -> Path:
     return path
 
 
-def run_case(directory: Path, name: str) -> dict:
+def run_case(directory: Path, name: str, backend: Optional[str] = None) -> dict:
     instance, fmt, flags = CASES[name]
     path = str(write_instance(directory, instance, fmt))
     results = []
@@ -87,6 +89,7 @@ def run_case(directory: Path, name: str) -> dict:
     with patch.object(cli, "solve", solve_and_keep), redirect_stdout(io.StringIO()) as out:
         assert cli.main(["solve", path, *flags]) == 0
     (result,) = results
+    assert backend in (None, result.backend)
     return {
         "stdout": out.getvalue(),
         "trace": [[step, cost] for step, _, cost in result.trace],
@@ -107,7 +110,15 @@ def instance_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_solve_matches_golden(name, golden, instance_dir):
-    assert run_case(instance_dir, name) == golden[name]
+    # The C kernel wherever it builds; the Python body without a compiler.
+    backend = "python" if kernel.load() is None else "c"
+    assert run_case(instance_dir, name, backend) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_python_body_matches_golden(name, golden, instance_dir, monkeypatch):
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert run_case(instance_dir, name, "python") == golden[name]
 
 
 def test_golden_covers_every_case(golden):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from spbmaxsat import kernel
 from spbmaxsat.formula import INF, Formula, parse_wcnf
 from spbmaxsat.oracle import brute_force_opt
 from spbmaxsat.search import (
@@ -18,7 +19,7 @@ from spbmaxsat.search import (
 )
 from spbmaxsat.state import EPS, SearchState, flip, score
 
-from gen import random_parts
+from gen import random_parts, same_run
 
 F1 = parse_wcnf("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
 
@@ -177,10 +178,15 @@ class TestSolve:
                 full = {u for u in range(1, n + 1) if score(state, u) > EPS}
                 assert state.goodvars.as_set() == full
 
-        monkeypatch.setattr("spbmaxsat.search.flip", checked_flip)
-        result = solve(f, SolverConfig(max_flips=5_000, seed=5),
-                       on_improvement=on_improvement)
+        # checked_flip sees the flips of the Python body only; the C kernel
+        # must then make the same run.
+        cfg = SolverConfig(max_flips=5_000, seed=5)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernel, "load", lambda: None)
+            mp.setattr("spbmaxsat.search.flip", checked_flip)
+            result = solve(f, cfg, on_improvement=on_improvement)
         assert flips == result.flips > 0
+        assert same_run(solve(f, cfg), result)
 
     def test_zero_flips_records_the_feasible_start(self):
         result = solve(F1, SolverConfig(max_flips=0, seed=1))
