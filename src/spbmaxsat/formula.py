@@ -1,11 +1,15 @@
 """WCNF instances: parsing, immutable storage, and assignment evaluation.
 
 Literals use the DIMACS convention: a positive integer v is the variable
-itself, -v its negation. Clauses are tuples of such literals; hard and
-soft clauses live in separate parallel lists.
+itself, -v its negation. Each clause kind (hard, soft) is stored once, in
+CSR form: a flat array of literals plus clause offsets (see Clauses).
 """
 from __future__ import annotations
 
+from array import array
+from collections import deque
+from itertools import accumulate, compress, count, repeat
+from operator import add, ne, not_, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 INF = float("inf")
@@ -13,6 +17,8 @@ INF = float("inf")
 # Parser-enforced ceiling so that any sum of soft weights stays additive
 # without overflow checks downstream.
 MAX_TOTAL_SOFT_WEIGHT = (1 << 63) - 1
+# The C kernel indexes variables 0..num_vars with 32-bit ints.
+MAX_VARS = 2**31 - 2
 
 
 class ParseError(ValueError):
@@ -34,26 +40,92 @@ def _normalize(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:
     return tuple(seen)
 
 
-def _index(clauses: Tuple[Tuple[int, ...], ...], num_vars: int):
-    """Variable tuples of one clause kind, plus its positive and negative
-    occurrence lists (clause ids per variable)."""
-    pos: List[List[int]] = [[] for _ in range(num_vars + 1)]
-    neg: List[List[int]] = [[] for _ in range(num_vars + 1)]
-    for cid, lits in enumerate(clauses):
-        for lit in lits:
-            (pos if lit > 0 else neg)[abs(lit)].append(cid)
-    clause_vars = tuple(tuple(abs(l) for l in c) for c in clauses)
-    return clause_vars, tuple(tuple(x) for x in pos), tuple(tuple(x) for x in neg)
+class Clauses:
+    """One clause kind in CSR form: clause c is lits[off[c]:off[c + 1]],
+    with weight weights[c] when the kind is weighted (soft).
+
+    Clauses are stored normalized: repeated literals are dropped, a
+    tautology is dropped entirely, and an empty clause is not stored but
+    adds its weight (1 when unweighted) to `empty`. The tuple views used by
+    the Python search body are built on first use.
+    """
+
+    __slots__ = ("lits", "off", "weights", "empty", "_rows", "_vars", "_occ")
+
+    def __init__(self, weighted: bool = False):
+        self.lits = array("i")
+        self.off = array("i", [0])
+        self.weights = array("q") if weighted else None
+        self.empty = 0
+        self._rows = self._vars = self._occ = None
+
+    def add(self, lits: Sequence[int], weight: int = 1) -> None:
+        """Append one clause, normalized."""
+        norm = _normalize(lits)
+        if norm is None:
+            return
+        if not norm:
+            self.empty += weight
+            return
+        if self.weights is not None:
+            if weight > MAX_TOTAL_SOFT_WEIGHT:
+                raise ValueError("total soft weight exceeds 63 bits")
+            self.weights.append(weight)
+        self.lits.extend(norm)
+        self.off.append(len(self.lits))
+
+    def __len__(self) -> int:
+        return len(self.off) - 1
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Clauses):
+            return NotImplemented
+        return (self.lits, self.off, self.weights, self.empty) == \
+            (other.lits, other.off, other.weights, other.empty)
+
+    __hash__ = None
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each clause as a tuple of literals."""
+        if self._rows is None:
+            lits, off = self.lits.tolist(), self.off.tolist()
+            self._rows = tuple(tuple(lits[a:b]) for a, b in zip(off, off[1:]))
+        return self._rows
+
+    @property
+    def vars(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each clause as a tuple of its variables."""
+        if self._vars is None:
+            self._vars = tuple(tuple(map(abs, lits)) for lits in self.rows)
+        return self._vars
+
+    def occurrences(self, num_vars: int):
+        """Per variable v, the ids of the clauses with literal v and those
+        with literal -v, in clause order: a (positive, negative) pair."""
+        if self._occ is None:
+            pos: List[List[int]] = [[] for _ in range(num_vars + 1)]
+            neg: List[List[int]] = [[] for _ in range(num_vars + 1)]
+            for cid, lits in enumerate(self.rows):
+                for lit in lits:
+                    (pos if lit > 0 else neg)[abs(lit)].append(cid)
+            self._occ = (tuple(map(tuple, pos)), tuple(map(tuple, neg)))
+        return self._occ
 
 
 class Formula:
-    """Immutable WPMS instance with per-literal occurrence lists.
+    """Immutable WPMS instance.
 
-    Construction normalizes clauses: duplicate literals are dropped,
-    tautological clauses are removed entirely (a dropped soft clause does
-    not count towards total_soft_weight). An empty hard clause marks the
-    whole instance infeasible; an empty soft clause contributes its weight
-    to every assignment's obj via a constant offset.
+    hard is an iterable of literal sequences, soft one of (weight, literals)
+    pairs; either may also be a Clauses of that kind, which is taken over
+    as it is (the parser builds them). Construction normalizes clauses (see
+    Clauses): a dropped soft clause does not count towards
+    total_soft_weight, an empty hard clause marks the whole instance
+    infeasible, and an empty soft clause contributes its weight to every
+    assignment's obj via a constant offset (soft_base).
     """
 
     __slots__ = (
@@ -61,15 +133,9 @@ class Formula:
         "hard",
         "soft",
         "soft_weights",
-        "hard_vars",
-        "soft_vars",
         "total_soft_weight",
         "soft_base",
         "has_empty_hard",
-        "occ_hard_pos",
-        "occ_hard_neg",
-        "occ_soft_pos",
-        "occ_soft_neg",
     )
 
     def __init__(
@@ -78,54 +144,57 @@ class Formula:
         hard: Iterable[Sequence[int]],
         soft: Iterable[Tuple[int, Sequence[int]]],
     ):
-        if num_vars < 0:
-            raise ValueError("num_vars must be non-negative")
+        if not 0 <= num_vars <= MAX_VARS:
+            raise ValueError(f"num_vars must be in [0, {MAX_VARS}]")
         self.num_vars = num_vars
-        hard_out: List[Tuple[int, ...]] = []
-        soft_out: List[Tuple[int, ...]] = []
-        weights: List[int] = []
-        soft_base = 0
-        has_empty_hard = False
+        if isinstance(hard, Clauses):
+            self._check_range(hard.lits)
+        else:
+            rows, hard = hard, Clauses()
+            for lits in rows:
+                self._check_range(lits)
+                hard.add(lits)
+        if isinstance(soft, Clauses):
+            self._check_range(soft.lits)
+        else:
+            rows, soft = soft, Clauses(weighted=True)
+            for weight, lits in rows:
+                if weight < 1:
+                    raise ValueError("soft weight must be >= 1")
+                self._check_range(lits)
+                soft.add(lits, weight)
 
-        for lits in hard:
-            self._check_range(lits)
-            norm = _normalize(lits)
-            if norm is None:
-                continue
-            if not norm:
-                has_empty_hard = True
-                continue
-            hard_out.append(norm)
-        for weight, lits in soft:
-            if weight < 1:
-                raise ValueError("soft weight must be >= 1")
-            self._check_range(lits)
-            norm = _normalize(lits)
-            if norm is None:
-                continue
-            if not norm:
-                soft_base += weight
-                continue
-            soft_out.append(norm)
-            weights.append(weight)
-
-        total = soft_base + sum(weights)
+        total = soft.empty + sum(soft.weights)
         if total > MAX_TOTAL_SOFT_WEIGHT:
             raise ValueError("total soft weight exceeds 63 bits")
-
-        self.hard = tuple(hard_out)
-        self.soft = tuple(soft_out)
-        self.soft_weights = tuple(weights)
-        self.hard_vars, self.occ_hard_pos, self.occ_hard_neg = _index(self.hard, num_vars)
-        self.soft_vars, self.occ_soft_pos, self.occ_soft_neg = _index(self.soft, num_vars)
+        self.hard = hard
+        self.soft = soft
+        self.soft_weights = soft.weights
         self.total_soft_weight = total
-        self.soft_base = soft_base
-        self.has_empty_hard = has_empty_hard
+        self.soft_base = soft.empty
+        self.has_empty_hard = hard.empty > 0
 
     def _check_range(self, lits: Sequence[int]) -> None:
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal {lit} out of range [1, {self.num_vars}]")
+        if lits and (0 in lits or max(lits) > self.num_vars or -min(lits) > self.num_vars):
+            lit = next(lit for lit in lits if lit == 0 or abs(lit) > self.num_vars)
+            raise ValueError(f"literal {lit} out of range [1, {self.num_vars}]")
+
+    # Occurrence lists of the Python search body, built on first use.
+    @property
+    def occ_hard_pos(self):
+        return self.hard.occurrences(self.num_vars)[0]
+
+    @property
+    def occ_hard_neg(self):
+        return self.hard.occurrences(self.num_vars)[1]
+
+    @property
+    def occ_soft_pos(self):
+        return self.soft.occurrences(self.num_vars)[0]
+
+    @property
+    def occ_soft_neg(self):
+        return self.soft.occurrences(self.num_vars)[1]
 
     @property
     def is_pms(self) -> bool:
@@ -156,6 +225,101 @@ class Formula:
         return self.obj(values) if self.hard_satisfied(values) else INF
 
 
+# --- parsing ----------------------------------------------------------------
+
+class _NotPlain(ValueError):
+    """Input that the bulk parser leaves to the line parser."""
+
+
+# Bytes that str.splitlines() takes as line breaks beside "\n" and "\r\n".
+_ODD_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_CHUNK = 1 << 16  # bytes of whole lines parsed at a time: bounds the lists per chunk
+
+
+def _parse_bulk(data: bytes) -> Formula:
+    """parse_wcnf on plain well-formed ASCII text, a chunk of whole lines
+    at a time: one split() and map(int, ...) per chunk, rows found by
+    their 0 terminators, every per-row step a C-level iterator. Raises
+    ValueError or OverflowError, with no useful message, on anything else:
+    the line parser then reports it."""
+    if not data.isascii() or any(map(data.__contains__, _ODD_BREAKS)) \
+            or data.count(b"\r") != data.count(b"\r\n"):
+        raise _NotPlain
+    hard, soft = Clauses(), Clauses(weighted=True)
+    top = None  # the classic format's top weight; None when headerless
+    first = True
+    num_vars = max_var = soft_total = 0
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+        rows = [r for r in map(bytes.strip, data[start:end].split(b"\n"))
+                if r and not r.startswith(b"c")]
+        start = end
+        if rows and first:
+            first = False
+            if rows[0].startswith(b"p"):
+                p, fmt, nv, nc, top = rows.pop(0).split()
+                num_vars, _, top = int(nv), int(nc), int(top)
+                if p != b"p" or fmt != b"wcnf" or not 0 <= num_vars <= MAX_VARS or top < 1:
+                    raise _NotPlain
+        if not rows:
+            continue
+        if not all(map(bytes.endswith, rows, repeat((b" 0", b"\t0")))):
+            raise _NotPlain
+        text = b" ".join(rows)
+        if top is None:
+            # Drop the "h" markers; the count shows each is a row's first token.
+            is_hard = list(map(bytes.startswith, rows, repeat((b"h ", b"h\t"))))
+            if text.count(b"h") != sum(is_hard):
+                raise _NotPlain
+            text = text.replace(b"h", b"")
+        ints = list(map(int, text.split()))
+        ends = list(compress(count(), map(not_, ints)))
+        if len(ends) != len(rows):  # a 0 inside a row
+            raise _NotPlain
+        starts = [0, *map((1).__add__, ends[:-1])]
+        if top is not None:
+            is_hard = list(map(top.__le__, map(ints.__getitem__, starts)))
+        is_soft = list(map(not_, is_hard))
+        weighted = starts if top is not None else list(compress(starts, is_soft))
+        weights = list(map(ints.__getitem__, compress(starts, is_soft)))
+        if weights and min(weights) < 1:
+            raise _NotPlain
+        soft_total += sum(weights)
+        # A row's literals follow its weight, if it has one, up to its end.
+        firsts = list(map(add, starts, is_soft)) if top is None else \
+            list(map((1).__add__, starts))
+        lengths = list(map(sub, ends, firsts))
+        variables = list(map(abs, ints))
+        if 0 in lengths or any(map(ne, map(len, map(set, map(
+                variables.__getitem__, map(slice, firsts, ends)))), lengths)):
+            # An empty clause, or a repeated variable: normalize row by row.
+            weights.reverse()
+            for h, a, b in zip(is_hard, firsts, ends):
+                lits = ints[a:b]
+                max_var = max(max_var, *variables[a:b], 0)
+                if h:
+                    hard.add(lits)
+                else:
+                    soft.add(lits, weights.pop())
+            continue
+        # With the weights zeroed, the literals are the nonzero ints; one
+        # filter() per run of rows of one kind.
+        deque(map(ints.__setitem__, weighted, repeat(0)), 0)
+        max_var = max(max_var, max(ints), -min(ints))
+        cuts = [0, *compress(count(1), map(ne, is_hard, is_hard[1:])), len(rows)]
+        for a, b in zip(cuts, cuts[1:]):
+            kind = hard if is_hard[a] else soft
+            kind.lits.extend(filter(None, ints[starts[a]:ends[b - 1]]))
+            kind.off.extend(map(kind.off[-1].__add__, accumulate(lengths[a:b])))
+        soft.weights.extend(weights)
+    if top is None:
+        num_vars = max_var
+    if max_var > num_vars or num_vars > MAX_VARS or soft_total > MAX_TOTAL_SOFT_WEIGHT:
+        raise _NotPlain
+    return Formula(num_vars, hard, soft)
+
+
 def _parse_int(token: str, kind: str, msg: str, line_no: int) -> int:
     try:
         return int(token)
@@ -176,17 +340,9 @@ def _split_clause_tokens(tokens: List[str], line_no: int) -> List[int]:
     return lits
 
 
-def parse_wcnf(source) -> Formula:
-    """Parse WCNF text in either the classic headered or the headerless format.
-
-    Classic: "p wcnf <num_vars> <num_clauses> <top>" followed by
-    "<weight> <lit>... 0" lines, weight >= top meaning hard. Headerless:
-    "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft, num_vars being
-    the largest variable mentioned. Comment lines start with "c". The format
-    is auto-detected from the first significant line.
-    """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+def _parse_lines(source: str) -> Formula:
+    """parse_wcnf one line at a time: the reference that reports each error
+    with its line number, and reads what the bulk parser leaves to it."""
     lines = source.splitlines()
 
     classic = False
@@ -216,6 +372,9 @@ def parse_wcnf(source) -> Formula:
             top = _parse_int(tokens[4], "header", "invalid top weight", line_no)
             if num_vars < 0 or top < 1:
                 raise ParseError("header", "header values out of range", line_no)
+            if num_vars > MAX_VARS:
+                raise ParseError("header", f"variable count {num_vars} exceeds {MAX_VARS}",
+                                 line_no)
             continue
         if num_vars is None:
             raise ParseError("header", "clause before 'p wcnf' header", line_no)
@@ -227,8 +386,10 @@ def parse_wcnf(source) -> Formula:
             if abs(lit) > num_vars:
                 if classic:
                     raise ParseError(
-                        "var-range", f"variable {abs(lit)} exceeds declared count {num_vars}", line_no
-                    )
+                        "var-range", f"variable {abs(lit)} exceeds declared count {num_vars}", line_no)
+                if abs(lit) > MAX_VARS:
+                    raise ParseError("var-range", f"variable {abs(lit)} exceeds {MAX_VARS}",
+                                     line_no)
                 num_vars = abs(lit)
         if classic:
             is_hard = weight >= top
@@ -243,6 +404,25 @@ def parse_wcnf(source) -> Formula:
         soft.append((weight, lits))
 
     return Formula(num_vars, hard, soft)
+
+
+def parse_wcnf(source) -> Formula:
+    """Parse WCNF text in either the classic headered or the headerless format.
+
+    Classic: "p wcnf <num_vars> <num_clauses> <top>" followed by
+    "<weight> <lit>... 0" lines, weight >= top meaning hard. Headerless:
+    "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft, num_vars being
+    the largest variable mentioned. Comment lines start with "c". The format
+    is auto-detected from the first significant line. A variable above
+    MAX_VARS is an error.
+    """
+    data = source.encode() if isinstance(source, str) else source
+    try:
+        return _parse_bulk(data)
+    except (ValueError, OverflowError):
+        # Anything but plain well-formed text: the line parser finds the
+        # error and its line, or reads the text (non-ASCII digits, say).
+        return _parse_lines(data.decode("utf-8"))
 
 
 def load_wcnf(path) -> Formula:

@@ -69,7 +69,7 @@ def decimation_init(f: Formula, rng: random.Random) -> List[int]:
             cid = hard_units.popleft()
             if hard_sat[cid] or hard_unassigned[cid] != 1:
                 continue
-            lit = unit_literal(f.hard[cid])
+            lit = unit_literal(f.hard.rows[cid])
             assign(abs(lit), 1 if lit > 0 else 0)
             continue
 
@@ -81,7 +81,7 @@ def decimation_init(f: Formula, rng: random.Random) -> List[int]:
                 soft_units[i] = soft_units[-1]
                 soft_units.pop()
                 continue
-            lit = unit_literal(f.soft[cid])
+            lit = unit_literal(f.soft.rows[cid])
             assign(abs(lit), 1 if lit > 0 else 0)
             picked = 1
             break

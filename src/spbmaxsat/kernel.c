@@ -1,7 +1,9 @@
-/* Search kernel: the flip, pick and weighting steps of search.solve in C.
+/* Search kernel: the start state and the flip, pick and weighting steps of
+ * search.solve in C.
  *
- * A straight port of state.flip (with refresh_candidacy and the IndexSet
- * add/discard), search._best, bms_pick and pick_from_falsified, and
+ * A straight port of decimation_init and random_init, SearchState's build,
+ * state.flip (with refresh_candidacy and the IndexSet add/discard),
+ * search._best, bms_pick and pick_from_falsified, and
  * weighting.spb_weighting and decay_weights. Every array lives in a Python
  * array.array that kernel.py allocates and keeps alive; this file only
  * reads and writes through the pointers in struct kstate, whose layout
@@ -11,8 +13,8 @@
  *  - the same order: touched variables, set members and score sums follow
  *    the Python loops exactly, so floating-point sums round the same way
  *    (build with -ffp-contract=off: a fused multiply-add rounds once);
- *  - the same random numbers: CPython's MT19937 and random(), seeded from
- *    random.Random.getstate();
+ *  - the same random numbers: CPython's MT19937, random() and
+ *    randrange(), seeded from random.Random.getstate();
  *  - the same types: hard weights, hscore and the SPB weight are doubles,
  *    soft weights, softdelta and the objective are int64.
  */
@@ -39,7 +41,7 @@ typedef struct {
 } kind;
 
 typedef struct {
-    int64_t num_vars, k;
+    int64_t num_vars, k, decimation; /* decimation: the init mode, else random */
     double h_inc, hard_delta, spb_delta, decay_threshold;
     kind hard, soft;
     const int64_t *soft_weight;
@@ -143,6 +145,13 @@ static void refresh_candidacy(kstate *s, const int32_t *vars, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         refresh_var(s, vars[i]);
+}
+
+/* refresh_candidacy over range(1, num_vars + 1) */
+static void refresh_all(kstate *s)
+{
+    for (int64_t v = 1; v <= s->num_vars; v++)
+        refresh_var(s, (int32_t)v);
 }
 
 /* The per-kind loop of state.flip, for a kind whose weights have type W and
@@ -305,8 +314,7 @@ static void decay_weights(kstate *s)
             s->hscore[h->sat_var[cid]] -= hw[cid];
         }
     }
-    for (int64_t v = 1; v <= s->num_vars; v++)
-        refresh_var(s, (int32_t)v);
+    refresh_all(s);
 }
 
 static void spb_weighting(kstate *s)
@@ -342,12 +350,8 @@ static void spb_weighting(kstate *s)
     decay_weights(s);
 }
 
-/* The occurrence lists, satisfied-literal counts and set positions of one
- * kind, from its literals, the values and the falsified members. sat_var
- * gets the last satisfying variable of each clause, as SearchState's build
- * does: where the count is 1 (the only place it is read) that is the sole
- * one, whatever the history of the state. */
-static void setup_kind(kind *c, const int32_t *values, int64_t num_vars)
+/* The occurrence lists of one kind: occ_off and occ from lits and off. */
+static void build_occ(kind *c, int64_t num_vars)
 {
     int64_t slots = 2 * (num_vars + 1), total = c->off[c->num_clauses];
     for (int64_t i = 0; i <= slots; i++)
@@ -364,32 +368,160 @@ static void setup_kind(kind *c, const int32_t *values, int64_t num_vars)
     for (int64_t i = slots; i > 0; i--)
         c->occ_off[i] = c->occ_off[i - 1];
     c->occ_off[0] = 0;
-
-    for (int32_t cid = 0; cid < c->num_clauses; cid++) {
-        int32_t n = 0;
-        for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {
-            if (lit_true(values, c->lits[l])) {
-                n++;
-                c->sat_var[cid] = abs(c->lits[l]);
-            }
-        }
-        c->sat_count[cid] = n;
-        c->falsified_pos[cid] = -1;
-    }
-    for (int32_t i = 0; i < c->num_falsified; i++)
-        c->falsified_pos[c->falsified[i]] = i;
 }
 
-/* Fill in what kn_advance needs beyond the copied state: see setup_kind,
- * and the positions of the goodvars members. */
+/* CPython's Random._randbelow (getrandbits rejection sampling), 0 < n < 2**32. */
+static int64_t randbelow(uint32_t *mt, int64_t n)
+{
+    int k = 64 - __builtin_clzll((uint64_t)n); /* n.bit_length() */
+    uint32_t r;
+    do
+        r = genrand_uint32(mt) >> (32 - k);
+    while (r >= n);
+    return r;
+}
+
+/* initialization.random_init */
+static void random_init(kstate *s)
+{
+    s->values[0] = 0;
+    for (int64_t v = 1; v <= s->num_vars; v++)
+        s->values[v] = random01(s->mt) < 0.5;
+}
+
+/* decimation_init's assign(): set v, then per kind mark the clauses it
+ * satisfies and queue those it leaves with one unassigned literal. Until
+ * kn_setup overwrites them, sat_count holds each clause's unassigned
+ * literals, sat_var whether it is satisfied, and falsified the unit queue
+ * (at most one entry per clause: a count reaches 1 once). */
+static void assign(kstate *s, int32_t v, int value, int64_t *queued)
+{
+    s->values[v] = value;
+    kind *kinds[2] = {&s->hard, &s->soft};
+    for (int i = 0; i < 2; i++) {
+        kind *c = kinds[i];
+        int64_t sat = 2 * (int64_t)v + value, fal = 2 * (int64_t)v + !value;
+        for (int32_t j = c->occ_off[sat]; j < c->occ_off[sat + 1]; j++)
+            c->sat_var[c->occ[j]] = 1;
+        for (int32_t j = c->occ_off[fal]; j < c->occ_off[fal + 1]; j++) {
+            int32_t cid = c->occ[j];
+            if (--c->sat_count[cid] == 1 && !c->sat_var[cid])
+                c->falsified[queued[i]++] = cid;
+        }
+    }
+}
+
+/* The unassigned literal of a unit clause. */
+static int32_t unit_literal(const kstate *s, const kind *c, int32_t cid)
+{
+    for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++)
+        if (s->values[abs(c->lits[l])] < 0)
+            return c->lits[l];
+    return 0;
+}
+
+/* initialization.decimation_init, with the same random draws: hard units
+ * first in queue order, then a random soft unit, then a random unassigned
+ * variable with a random value. The pool of variables lives in goodvars. */
+static void decimation_init(kstate *s)
+{
+    kind *h = &s->hard, *sf = &s->soft;
+    int64_t queued[2] = {0, 0}, head = 0, pool = s->num_vars;
+    kind *kinds[2] = {h, sf};
+    for (int i = 0; i < 2; i++) {
+        kind *c = kinds[i];
+        for (int32_t cid = 0; cid < c->num_clauses; cid++) {
+            c->sat_count[cid] = c->off[cid + 1] - c->off[cid];
+            c->sat_var[cid] = 0;
+            if (c->sat_count[cid] == 1)
+                c->falsified[queued[i]++] = cid;
+        }
+    }
+    for (int64_t v = 1; v <= s->num_vars; v++) {
+        s->values[v] = -1;
+        s->goodvars[v - 1] = (int32_t)v;
+    }
+    for (int64_t remaining = s->num_vars; remaining; remaining--) {
+        int32_t lit = 0;
+        while (!lit && head < queued[0]) {
+            int32_t cid = h->falsified[head++];
+            if (!h->sat_var[cid] && h->sat_count[cid] == 1)
+                lit = unit_literal(s, h, cid);
+        }
+        while (!lit && queued[1]) {
+            int64_t i = randbelow(s->mt, queued[1]);
+            int32_t cid = sf->falsified[i];
+            if (sf->sat_var[cid] || sf->sat_count[cid] != 1)
+                sf->falsified[i] = sf->falsified[--queued[1]];
+            else
+                lit = unit_literal(s, sf, cid);
+        }
+        while (!lit) {
+            int64_t i = randbelow(s->mt, pool);
+            int32_t v = s->goodvars[i];
+            s->goodvars[i] = s->goodvars[--pool];
+            if (s->values[v] < 0)
+                lit = random01(s->mt) < 0.5 ? v : -v;
+        }
+        assign(s, abs(lit), lit > 0, queued);
+    }
+    s->values[0] = 0;
+}
+
+/* SearchState._build_kind for one kind: satisfied-literal counts, the last
+ * satisfying variable of each clause (read only where the count is 1, where
+ * it is the sole one), the falsified set in clause order, and each clause's
+ * make/break weight added into scores (state._add_scores). Returns the
+ * falsified weight. */
+#define DEFINE_BUILD_KIND(NAME, W)                                                 \
+    static W NAME(kstate *s, kind *c, const W *weight, W *scores)                  \
+    {                                                                              \
+        W falsified = 0;                                                           \
+        c->num_falsified = 0;                                                      \
+        for (int32_t cid = 0; cid < c->num_clauses; cid++) {                       \
+            int32_t n = 0, x = 0;                                                  \
+            for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {              \
+                if (lit_true(s->values, c->lits[l])) {                             \
+                    n++;                                                           \
+                    x = abs(c->lits[l]);                                           \
+                }                                                                  \
+            }                                                                      \
+            c->sat_count[cid] = n;                                                 \
+            c->sat_var[cid] = x;                                                   \
+            c->falsified_pos[cid] = -1;                                            \
+            if (n == 0) {                                                          \
+                set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
+                falsified += weight[cid];                                          \
+                for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++)            \
+                    scores[abs(c->lits[l])] += weight[cid];                        \
+            } else if (n == 1) {                                                   \
+                scores[x] -= weight[cid];                                          \
+            }                                                                      \
+        }                                                                          \
+        return falsified;                                                          \
+    }
+
+DEFINE_BUILD_KIND(build_hard, double)
+DEFINE_BUILD_KIND(build_soft, int64_t)
+
+/* The start state of solve: the occurrence lists, the initial assignment
+ * (decimation or random, drawing from mt), then what SearchState's build
+ * computes from it, in the same order. Expects values, flip_stamp, hscore
+ * and softdelta zeroed, hard_weight all 1, current_obj the soft base. */
 void kn_setup(kstate *s)
 {
-    setup_kind(&s->hard, s->values, s->num_vars);
-    setup_kind(&s->soft, s->values, s->num_vars);
+    build_occ(&s->hard, s->num_vars);
+    build_occ(&s->soft, s->num_vars);
+    if (s->decimation)
+        decimation_init(s);
+    else
+        random_init(s);
+    build_hard(s, &s->hard, s->hard_weight, s->hscore);
+    s->current_obj += build_soft(s, &s->soft, s->soft_weight, s->softdelta);
+    s->num_goodvars = 0;
     for (int64_t v = 0; v <= s->num_vars; v++)
         s->goodvars_pos[v] = -1;
-    for (int32_t i = 0; i < s->num_goodvars; i++)
-        s->goodvars_pos[s->goodvars[i]] = i;
+    refresh_all(s);
 }
 
 static inline int64_t now_ns(void)

@@ -1,19 +1,21 @@
-"""The C search kernel (kernel.c): build, load and hand a search over to it.
+"""The C search kernel (kernel.c): build, load and start a search in it.
 
 load() compiles kernel.c once with $CC (default cc) into this package's
 __pycache__, named by a checksum of the source and the flags, and loads it
-with ctypes; later processes load the cached library without a compiler.
-It returns None when anything fails (no compiler, an unwritable cache
-directory, a library that does not match this file's struct layout), and
-solve then runs its Python body.
+with ctypes; later processes load the cached library without a compiler,
+and a build deletes the libraries of other sources. load() returns None
+when anything fails (no compiler, an unwritable cache directory, a library
+that does not match this file's struct layout), and solve then runs its
+Python body.
 
-handoff() copies a built SearchState, the formula's clauses and the RNG
-state into arrays that the C code works on in place. The kernel's run is
-flip for flip the Python one; tests/test_kernel.py checks it, and
-layer_split() times its parts.
+start() hands the kernel the formula's own clause arrays and the RNG state;
+the kernel builds the initial assignment and the search state from them.
+Its run is flip for flip the Python one; tests/test_kernel.py checks it,
+and layer_split() times its parts.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.machinery
@@ -23,12 +25,10 @@ import shlex
 import tempfile
 import zlib
 from array import array
-from itertools import accumulate, chain
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .formula import INF
-from .state import SearchState
+from .formula import INF, Formula
 from .weighting import MODE_ALL_ADAPTIVE, MODE_CONSTANT
 
 SOURCE = Path(__file__).with_name("kernel.c")
@@ -52,7 +52,7 @@ class _Kind(ctypes.Structure):
 class _State(ctypes.Structure):
     """struct kstate of kernel.c, field for field."""
 
-    _fields_ = [("num_vars", _I), ("k", _I),
+    _fields_ = [("num_vars", _I), ("k", _I), ("decimation", _I),
                 ("h_inc", _D), ("hard_delta", _D), ("spb_delta", _D), ("decay_threshold", _D),
                 ("hard", _Kind), ("soft", _Kind),
                 ("soft_weight", _P), ("hard_weight", _P), ("values", _P), ("flip_stamp", _P),
@@ -74,7 +74,9 @@ def library_path() -> Path:
 
 def _build(path: Path) -> None:
     """Compile kernel.c to path through a temporary file in its directory, so
-    that a concurrent loader never sees a half-written library."""
+    that a concurrent loader never sees a half-written library, then delete
+    the stale libraries beside it."""
+    import re
     import subprocess  # only here: a cached build needs no subprocess
 
     path.parent.mkdir(exist_ok=True)
@@ -91,6 +93,14 @@ def _build(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Delete the libraries of other sources or flags (another key); those
+    # of other interpreters with this key stay.
+    key = path.name.split(".")[1]
+    for old in path.parent.iterdir():
+        m = re.fullmatch(r"kernel\.([0-9a-f]{16})\..+", old.name)
+        if m and m.group(1) != key:
+            with contextlib.suppress(OSError):  # gone already, or not ours to delete
+                old.unlink()
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,15 +125,7 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 def _zeros(code: str, n: int) -> array:
-    a = array(code)
-    return array(code, bytes(a.itemsize * n))
-
-
-def _padded(code: str, members: List[int], n: int) -> array:
-    """An IndexSet's members in an array of its capacity n."""
-    a = array(code, members)
-    a.extend(_zeros(code, n - len(members)))
-    return a
+    return array(code, [0]) * n
 
 
 class Walk:
@@ -132,57 +134,52 @@ class Walk:
     The arrays below are the kernel's state, named after the SearchState
     fields they stand for: falsified and goodvars hold the set members
     padded to capacity, mt the Mersenne Twister words then its index. The
-    counts, satisfying variables and set positions are derived in C
-    (kn_setup) rather than copied, which saves about a tenth of the handoff.
-    After the first advance() the SearchState copied from is stale.
+    clause literals, offsets and soft weights are the formula's own arrays,
+    read in place. kn_setup builds everything else, the start assignment
+    included, and uses the falsified, goodvars and count arrays as scratch
+    for decimation_init first.
     """
 
-    def __init__(self, lib: ctypes.CDLL, state: SearchState, cfg, rng: random.Random):
-        f = state.formula
+    def __init__(self, lib: ctypes.CDLL, formula: Formula, cfg, rng: random.Random):
+        f = self.formula = formula  # keeps the clause arrays alive
         nv = f.num_vars
         self._lib = lib
-        self.st = st = _State(num_vars=nv, k=cfg.k, h_inc=cfg.h_inc,
+        self.st = st = _State(num_vars=nv, k=cfg.k, decimation=cfg.init == "decimation",
+                              h_inc=cfg.h_inc,
                               hard_delta=cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0,
                               spb_delta=1.0 if cfg.mode == MODE_CONSTANT else cfg.delta,
                               decay_threshold=cfg.decay_threshold,
-                              step=state.step, current_obj=state.current_obj,
-                              max_hard_weight=state.max_hard_weight,
-                              spb_weight=state.spb.weight,
-                              num_goodvars=len(state.goodvars.members))
-        self.set_bound(state.spb.bound)
+                              step=1, current_obj=f.soft_base, max_hard_weight=1.0,
+                              spb_weight=1.0)
+        self.set_bound(INF)
         self.kinds = {}
         total = nv + 1
-        for name, clauses, fal in (("hard", f.hard, state.falsified_hard),
-                                   ("soft", f.soft, state.falsified_soft)):
+        for name, clauses in (("hard", f.hard), ("soft", f.soft)):
             m = len(clauses)
-            # From lists: array() takes a list faster than an iterator.
-            arrays = dict(lits=array("i", list(chain.from_iterable(clauses))),
-                          off=array("i", list(accumulate(map(len, clauses), initial=0))),
-                          occ_off=_zeros("i", 2 * (nv + 1) + 1),
+            arrays = dict(occ_off=_zeros("i", 2 * (nv + 1) + 1), occ=_zeros("i", len(clauses.lits)),
                           sat_count=_zeros("i", m), sat_var=_zeros("i", m),
-                          falsified=_padded("i", fal.members, m),
-                          falsified_pos=_zeros("i", m))
-            arrays["occ"] = _zeros("i", len(arrays["lits"]))
-            total += len(arrays["lits"])
+                          falsified=_zeros("i", m), falsified_pos=_zeros("i", m))
+            total += len(clauses.lits)
             self.kinds[name] = arrays
             kind = getattr(st, name)
             kind.num_clauses = m
-            kind.num_falsified = len(fal.members)
+            kind.lits = clauses.lits.buffer_info()[0]
+            kind.off = clauses.off.buffer_info()[0]
             for field, a in arrays.items():
                 setattr(kind, field, a.buffer_info()[0])
-        self.values = array("i", state.values)
-        self.flip_stamp = array("q", state.flip_stamp)
-        self.hscore = array("d", state.hscore)
-        self.softdelta = array("q", state.softdelta)
-        self.hard_weight = array("d", state.hard_weight)
-        self.soft_weight = array("q", f.soft_weights)
-        self.goodvars = _padded("i", state.goodvars.members, nv + 1)
+        self.values = _zeros("i", nv + 1)
+        self.flip_stamp = _zeros("q", nv + 1)
+        self.hscore = _zeros("d", nv + 1)
+        self.softdelta = _zeros("q", nv + 1)
+        self.hard_weight = array("d", [1.0]) * len(f.hard)
+        self.goodvars = _zeros("i", nv + 1)
         self.goodvars_pos = _zeros("i", nv + 1)
         self.mt = array("I", rng.getstate()[1])
         self.touched = _zeros("i", total)  # see struct kstate
         for field in ("values", "flip_stamp", "hscore", "softdelta", "hard_weight",
-                      "soft_weight", "goodvars", "goodvars_pos", "mt", "touched"):
+                      "goodvars", "goodvars_pos", "mt", "touched"):
             setattr(st, field, getattr(self, field).buffer_info()[0])
+        st.soft_weight = f.soft_weights.buffer_info()[0]
         lib.kn_setup(st)
 
     def cost(self) -> float:
@@ -203,17 +200,15 @@ class Walk:
         return done, bool(self.st.optimum)
 
 
-def handoff(state: SearchState, cfg, rng: random.Random) -> Optional[Walk]:
-    """A Walk continuing from state and rng, or None when the kernel did not
-    load or a count does not fit its 32-bit indices."""
+def start(formula: Formula, cfg, rng: random.Random) -> Optional[Walk]:
+    """A Walk from solve's start state, the initial assignment drawn from
+    rng's state as cfg.init says (rng itself is not advanced), or None when
+    the kernel did not load or a count does not fit its 32-bit indices."""
     lib = load()
-    f = state.formula
-    if lib is None or max(f.num_vars + 1, len(f.hard), len(f.soft)) > INT32_MAX:
+    f = formula
+    if lib is None or max(f.num_vars + 1, len(f.hard.lits), len(f.soft.lits)) > INT32_MAX:
         return None
-    try:
-        return Walk(lib, state, cfg, rng)
-    except OverflowError:  # from array("i"): a kind with 2**31 literals or more
-        return None
+    return Walk(lib, f, cfg, rng)
 
 
 def layer_split(formula, cfg) -> dict:
@@ -226,8 +221,8 @@ def layer_split(formula, cfg) -> dict:
     """
     from . import search  # search imports this module
 
-    global handoff
-    plain, walks = handoff, []
+    global start
+    plain, walks = start, []
 
     def profiled(*args):
         walk = plain(*args)
@@ -236,11 +231,11 @@ def layer_split(formula, cfg) -> dict:
             walks.append(walk)
         return walk
 
-    handoff = profiled
+    start = profiled
     try:
         result = search.solve(formula, cfg)
     finally:
-        handoff = plain
+        start = plain
     split = {"flips": result.flips, "backend": result.backend}
     for i, part in enumerate(PARTS):
         calls = sum(w.st.part_calls[i] for w in walks)

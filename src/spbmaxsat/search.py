@@ -104,9 +104,9 @@ class SolveResult:
 
     trace holds one (flip step, wall seconds, cost) row per strict
     improvement; best_cost is inf and best_assignment None when no feasible
-    solution was found. backend is "c" when the search ran in the C kernel
-    from its first flip on, "python" when it ran in Python or ended before
-    its first flip.
+    solution was found. backend is "c" when the C kernel built the start
+    state and ran the search (a run of no flips included), "python" when
+    both ran in Python.
     """
 
     best_assignment: Optional[List[int]]
@@ -163,9 +163,9 @@ def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]
     Returns None when nothing is falsified, i.e. the current assignment
     satisfies every clause and is therefore optimal.
     """
-    members, clause_vars = state.falsified_hard.members, state.formula.hard_vars
+    members, clause_vars = state.falsified_hard.members, state.formula.hard.vars
     if not members:
-        members, clause_vars = state.falsified_soft.members, state.formula.soft_vars
+        members, clause_vars = state.falsified_soft.members, state.formula.soft.vars
         if not members:
             return None
     return _best(state, clause_vars[members[int(rng.random() * len(members))]])
@@ -220,8 +220,8 @@ def solve(
     """Run the local search until the flip or time budget is exhausted.
 
     Every strict improvement triggers on_improvement(cost) immediately.
-    The flips run in the C kernel when it loads, else in Python; both make
-    the same flips.
+    The start state and the flips come from the C kernel when it loads,
+    else from Python; both make the same flips.
     """
     cfg = (config or SolverConfig()).resolve(formula)
     rng = random.Random(cfg.seed)
@@ -230,9 +230,11 @@ def solve(
     if formula.has_empty_hard:
         return SolveResult(None, INF, [], 0, TERM_INFEASIBLE, cfg)
 
-    values = decimation_init(formula, rng) if cfg.init == "decimation" \
-        else random_init(formula, rng)
-    walk = _PythonWalk(SearchState(formula, values), cfg, rng)
+    walk = kernel.start(formula, cfg, rng)
+    if walk is None:
+        values = decimation_init(formula, rng) if cfg.init == "decimation" \
+            else random_init(formula, rng)
+        walk = _PythonWalk(SearchState(formula, values), cfg, rng)
 
     best_cost = INF
     best_values: Optional[List[int]] = None
@@ -261,11 +263,6 @@ def solve(
                 and perf_counter() - t0 >= cutoff:
             termination = TERM_TIME
             break
-        if flips == 0:
-            # The first flip: hand over to the C kernel. Runs that make no
-            # flip never pay for the copy.
-            walk = kernel.handoff(walk.state, cfg, rng) or walk
-
         # Up to the next time check, within the flip budget.
         n = 1024 - (flips & 1023)
         if max_flips is not None:

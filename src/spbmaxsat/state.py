@@ -54,9 +54,6 @@ class IndexSet:
             self.members.pop()
             self.pos[x] = -1
 
-    def as_set(self) -> set:
-        return set(self.members)
-
 
 class SearchState:
     """Mutable solver state over one shared immutable Formula.
@@ -106,15 +103,15 @@ class SearchState:
         self.hscore = [0.0] * (n + 1)
         self.softdelta = [0] * (n + 1)
         self.sat_count_hard, self.sat_var_hard, self.falsified_hard, _ = _build_kind(
-            values, f.hard, f.hard_vars, self.hard_weight, self.hscore)
+            values, f.hard, self.hard_weight, self.hscore)
         self.sat_count_soft, self.sat_var_soft, self.falsified_soft, soft_falsified = _build_kind(
-            values, f.soft, f.soft_vars, f.soft_weights, self.softdelta)
+            values, f.soft, f.soft_weights, self.softdelta)
         self.current_obj = f.soft_base + soft_falsified
         self.goodvars = IndexSet(n + 1)
         refresh_candidacy(self, range(1, n + 1))
 
 
-def _build_kind(values, clauses, clause_vars, weights, scores):
+def _build_kind(values, clauses, weights, scores):
     """Satisfied-literal bookkeeping of one clause kind (hard or soft).
 
     Adds each clause's make/break weight into scores and returns its
@@ -126,7 +123,7 @@ def _build_kind(values, clauses, clause_vars, weights, scores):
     sat_var = [0] * len(clauses)
     falsified = IndexSet(len(clauses))
     falsified_weight = 0
-    for cid, lits in enumerate(clauses):
+    for cid, lits in enumerate(clauses.rows):
         cnt = 0
         for lit in lits:
             if values[lit] if lit > 0 else not values[-lit]:
@@ -136,7 +133,7 @@ def _build_kind(values, clauses, clause_vars, weights, scores):
         if cnt == 0:
             falsified.add(cid)
             falsified_weight += weights[cid]
-    _add_scores(count, sat_var, clause_vars, weights, scores)
+    _add_scores(count, sat_var, clauses.vars, weights, scores)
     return count, sat_var, falsified, falsified_weight
 
 
@@ -153,10 +150,6 @@ def _add_scores(count, sat_var, clause_vars, weights, scores):
                 scores[v] += w
         elif cnt == 1:
             scores[sat_var[cid]] -= weights[cid]
-
-
-def score(state: SearchState, v: int) -> float:
-    return state.hscore[v] + state.spb.weight * state.softdelta[v]
 
 
 def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
@@ -202,10 +195,10 @@ def flip(state: SearchState, v: int) -> None:
         made_h, broken_h = f.occ_hard_pos[v], f.occ_hard_neg[v]
         made_s, broken_s = f.occ_soft_pos[v], f.occ_soft_neg[v]
     touched = []
-    _flip_kind(values, v, made_h, broken_h, f.hard, f.hard_vars, state.hard_weight,
+    _flip_kind(values, v, made_h, broken_h, f.hard.rows, f.hard.vars, state.hard_weight,
                state.hscore, state.sat_count_hard, state.sat_var_hard,
                state.falsified_hard, touched)
-    _flip_kind(values, v, made_s, broken_s, f.soft, f.soft_vars, f.soft_weights,
+    _flip_kind(values, v, made_s, broken_s, f.soft.rows, f.soft.vars, f.soft_weights,
                state.softdelta, state.sat_count_soft, state.sat_var_soft,
                state.falsified_soft, touched)
     refresh_candidacy(state, touched)

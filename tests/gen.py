@@ -7,7 +7,7 @@ from typing import List, Tuple
 
 from spbmaxsat.formula import INF, Formula
 from spbmaxsat.search import SolverConfig
-from spbmaxsat.state import EPS, SearchState, recompute_from_scratch, score
+from spbmaxsat.state import EPS, IndexSet, SearchState, recompute_from_scratch
 from spbmaxsat.weighting import spb_weighting
 
 
@@ -69,6 +69,15 @@ def render_new(n: int, hard, soft) -> str:
     return "\n".join(lines) + "\n"
 
 
+def score(state: SearchState, v: int) -> float:
+    """The variable's score: hscore + w_spb * softdelta."""
+    return state.hscore[v] + state.spb.weight * state.softdelta[v]
+
+
+def as_set(s: IndexSet) -> set:
+    return set(s.members)
+
+
 def enumerate_opt(f: Formula):
     """Definitional optimum: direct evaluation of every assignment.
 
@@ -102,8 +111,8 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
     assert state.current_obj == scratch.current_obj
     assert state.sat_count_hard == scratch.sat_count_hard
     assert state.sat_count_soft == scratch.sat_count_soft
-    assert state.falsified_hard.as_set() == scratch.falsified_hard.as_set()
-    assert state.falsified_soft.as_set() == scratch.falsified_soft.as_set()
+    assert as_set(state.falsified_hard) == as_set(scratch.falsified_hard)
+    assert as_set(state.falsified_soft) == as_set(scratch.falsified_soft)
     for cid, cnt in enumerate(state.sat_count_hard):
         if cnt == 1:
             assert state.sat_var_hard[cid] == scratch.sat_var_hard[cid]
@@ -117,7 +126,7 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
     expected_good = {
         v for v in range(1, f.num_vars + 1) if score(scratch, v) > EPS
     }
-    assert state.goodvars.as_set() == expected_good
+    assert as_set(state.goodvars) == expected_good
 
 
 def same_run(a, b) -> bool:

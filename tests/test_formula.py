@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
+from spbmaxsat.formula import INF, Formula, ParseError, _parse_bulk, _parse_lines, parse_wcnf
 
 from gen import random_parts, render_new, render_old
 
@@ -21,9 +24,9 @@ class TestParsing:
     def test_old_format_f1(self):
         f = parse_wcnf(F1_OLD)
         assert f.num_vars == 2
-        assert f.hard == ((1, 2),)
-        assert f.soft == ((-1,), (-2,))
-        assert f.soft_weights == (2, 5)
+        assert f.hard.rows == ((1, 2),)
+        assert f.soft.rows == ((-1,), (-2,))
+        assert f.soft_weights.tolist() == [2, 5]
         assert f.total_soft_weight == 7
 
     def test_new_format_matches_old(self):
@@ -90,13 +93,13 @@ class TestParsing:
 
     def test_duplicate_literals_deduped(self):
         f = parse_wcnf("h 1 1 2 0\n3 2 2 0\n")
-        assert f.hard == ((1, 2),)
-        assert f.soft == ((2,),)
+        assert f.hard.rows == ((1, 2),)
+        assert f.soft.rows == ((2,),)
 
     def test_tautology_dropped_and_weight_excluded(self):
         f = parse_wcnf("h 1 -1 0\n4 2 -2 0\n3 2 0\n")
         assert len(f.hard) == 0
-        assert f.soft == ((2,),)
+        assert f.soft.rows == ((2,),)
         assert f.total_soft_weight == 3
 
     def test_empty_hard_clause_marks_infeasible(self):
@@ -128,6 +131,11 @@ PARSE_ERRORS = [
     ("p wcnf 2 1 5\n0 3 0\n", "var-range", 2, "variable 3 exceeds declared count 2"),
     ("x 1\n", "clause", 1, "invalid clause weight: 'x'"),
     ("1 1 0\n0 1\n", "terminator", 2, "clause line missing terminating 0"),
+    ("h 99999999999 0\n", "var-range", 1, "variable 99999999999 exceeds 2147483646"),
+    ("c x\n1 -2147483647 0\n", "var-range", 2, "variable 2147483647 exceeds 2147483646"),
+    ("p wcnf 1 x 5\n1 1 0\n", "header", 1, "invalid clause count: 'x'"),
+    ("p wcnf 99999999999 1 5\n1 1 0\n", "header", 1,
+     "variable count 99999999999 exceeds 2147483646"),
 ]
 
 
@@ -137,6 +145,100 @@ def test_parse_error_kind_line_and_message(text, kind, line_no, message):
         parse_wcnf(text)
     assert (exc.value.kind, exc.value.line_no, str(exc.value)) == \
         (kind, line_no, f"line {line_no}: {message}")
+
+
+@pytest.mark.parametrize("text", [row[0] for row in PARSE_ERRORS])
+def test_bulk_parser_leaves_every_error_to_the_line_parser(text):
+    with pytest.raises((ValueError, OverflowError)) as exc:
+        _parse_bulk(text.encode())
+    assert not isinstance(exc.value, ParseError)
+
+
+def test_variable_counts_are_checked_before_any_allocation():
+    # Under a 1 GB address-space limit: a count at the 32-bit limit parses
+    # (nothing is allocated per variable), one above it is a ParseError.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from spbmaxsat.formula import ParseError, parse_wcnf\n"
+        "assert parse_wcnf(b'p wcnf 2147483646 1 5\\n1 -2147483646 0\\n').num_vars == 2147483646\n"
+        "for text in (b'h 99999999999 0\\n', b'p wcnf 99999999999 1 5\\n1 1 0\\n'):\n"
+        "    try:\n"
+        "        parse_wcnf(text)\n"
+        "    except ParseError:\n"
+        "        continue\n"
+        "    sys.exit('no ParseError')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+# --- the bulk parser against Formula built from the same clause lists ------
+
+CLAUSE = st.lists(st.integers(-9, 9).filter(bool), max_size=5)  # repeats, tautologies, empty
+NOISE = st.sampled_from(["c comment", "  c indented 1 0", "\tc", "c h 1 0", "", "  ", "\t"])
+SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def wcnf_texts(draw):
+    """(text, expected Formula): random clause lists written in either
+    format, with comments, blank lines, CRLF endings and tabs mixed in."""
+    hard = draw(st.lists(CLAUSE, max_size=8))
+    soft = draw(st.lists(st.tuples(st.integers(1, 50), CLAUSE), max_size=8))
+    classic = draw(st.booleans())
+    used = max((abs(lit) for lits in hard + [c for _, c in soft] for lit in lits), default=0)
+    n = used + draw(st.integers(0, 3)) if classic else used
+    top = sum(w for w, _ in soft) + 1
+    rows = [[str(top) if classic else "h", *map(str, lits), "0"] for lits in hard]
+    soft_rows = iter([[str(w), *map(str, lits), "0"] for w, lits in soft])
+    hard_rows = iter(rows)
+    # Interleave the kinds, keeping the order within each.
+    order = draw(st.permutations([0] * len(hard) + [1] * len(soft)))
+    body = [next(soft_rows) if kind else next(hard_rows) for kind in order]
+    if classic:
+        body.insert(0, ["p", "wcnf", str(n), str(len(hard) + len(soft)), str(top)])
+    lines = []
+    for tokens in body:
+        lines += draw(st.lists(NOISE, max_size=2))
+        sep = draw(SEP)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens)
+                     + draw(st.sampled_from(["", " ", "\t"])))
+    lines += draw(st.lists(NOISE, max_size=2))
+    eols = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + eol for line, eol in zip(lines, eols))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line break after the last line
+    return text, Formula(n, hard, soft)
+
+
+def formula_fields(f: Formula):
+    return (f.num_vars, f.hard, f.soft, f.soft_weights, f.soft_base, f.has_empty_hard,
+            f.total_soft_weight)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wcnf_texts())
+def test_both_parsers_read_what_formula_builds_from_the_lists(case):
+    text, expected = case
+    want = formula_fields(expected)
+    assert formula_fields(_parse_bulk(text.encode())) == want
+    assert formula_fields(_parse_lines(text)) == want
+    assert formula_fields(parse_wcnf(text)) == want
+
+
+def test_bulk_parser_reads_many_chunks(monkeypatch):
+    import spbmaxsat.formula as formula
+
+    rng = random.Random(4)
+    n, hard, soft = random_parts(rng, min_vars=50, max_vars=50, min_clauses=400,
+                                 max_clauses=400)
+    text = render_new(n, hard, soft).encode()
+    expected = formula_fields(_parse_bulk(text))
+    monkeypatch.setattr(formula, "_CHUNK", 64)
+    assert formula_fields(_parse_bulk(text)) == expected
+    assert formula_fields(_parse_bulk(text.replace(b"h", b"c x\nh", 9))) == expected
 
 
 class TestEvaluation:

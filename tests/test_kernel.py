@@ -1,10 +1,12 @@
 """The C search kernel against the Python body it ports.
 
-The differential tests hand one SearchState to both backends and advance
-them by the same random chunk sizes, the way solve does, comparing every
-field of the state and the Mersenne Twister state after each chunk. The
-CLI tests run `solve` on a private copy of the package, so that they
-control its build cache.
+The differential tests start both backends from one formula and seed (the
+kernel builds its own start state, Python runs decimation_init or
+random_init and builds a SearchState), compare every field of the state
+and the Mersenne Twister state, then advance both by the same random chunk
+sizes, the way solve does, comparing again after each chunk. The CLI tests
+run `solve` on a private copy of the package, so that they control its
+build cache.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from typing import Optional
 
 import pytest
 
-from spbmaxsat import kernel
-from spbmaxsat.formula import Formula
+from spbmaxsat import kernel, search
+from spbmaxsat.formula import Formula, parse_wcnf
 from spbmaxsat.initialization import decimation_init, random_init
 from spbmaxsat.search import INITS, SolverConfig, _PythonWalk, solve
 from spbmaxsat.state import SearchState
@@ -68,17 +70,22 @@ def assert_same_state(c: kernel.Walk, py: _PythonWalk) -> None:
     assert tuple(c.mt) == py.rng.getstate()[1]
 
 
+def start_both(f: Formula, cfg: SolverConfig):
+    """The kernel's start state and the Python body's, from one seed."""
+    c = kernel.start(f, cfg, random.Random(cfg.seed))
+    rng = random.Random(cfg.seed)
+    values = decimation_init(f, rng) if cfg.init == "decimation" else random_init(f, rng)
+    py = _PythonWalk(SearchState(f, values), cfg, rng)
+    assert_same_state(c, py)
+    return c, py
+
+
 def run_both(f: Formula, cfg: SolverConfig, flips: int, chunks: random.Random) -> int:
     """Advance both backends from one start through flips, in random chunks,
     with solve's improvement bookkeeping between chunks; returns the number
     of chunks compared."""
     cfg = cfg.resolve(f)
-    rng = random.Random(cfg.seed)
-    values = decimation_init(f, rng) if cfg.init == "decimation" else random_init(f, rng)
-    state = SearchState(f, values)
-    c = kernel.handoff(state, cfg, rng)  # copies state and rng
-    py = _PythonWalk(state, cfg, rng)
-    assert_same_state(c, py)
+    c, py = start_both(f, cfg)
     best = float("inf")
     done = compared = 0
     while done < flips:
@@ -116,23 +123,50 @@ def test_kernel_state_matches_python_body(lib, instance, mode, init, preset):
     assert compared >= count
 
 
-def test_handoff_declines_counts_beyond_32_bits(lib, monkeypatch):
+# Many unit clauses: decimation's hard queue and soft draws do most of the work.
+UNIT_HEAVY = dict(min_vars=300, max_vars=300, min_clauses=900, max_clauses=900, max_weight=50)
+
+
+@pytest.mark.parametrize("preset", ["pms", "wpms"])
+@pytest.mark.parametrize("init", INITS)
+def test_kernel_start_state_matches_python_init(lib, init, preset):
+    rng = random.Random(f"start-{init}-{preset}")
+    shapes = [dict(), INSTANCES["weighted-200"], INSTANCES["unit-200"], UNIT_HEAVY]
+    for i, shape in enumerate(shapes * 3):
+        n, hard, soft = random_parts(rng, **shape)
+        if shape is UNIT_HEAVY:
+            hard = [lits[:1] if j % 3 == 0 else lits for j, lits in enumerate(hard)]
+            soft = [(w, lits[:1]) if j % 2 == 0 else (w, lits) for j, (w, lits) in enumerate(soft)]
+        f = Formula(n, hard, soft)
+        cfg = SolverConfig(init=init, preset=preset, seed=i + 1, max_flips=0).resolve(f)
+        start_both(f, cfg)
+
+
+def test_kernel_path_builds_no_python_clause_views(lib, monkeypatch):
+    n, hard, soft = random_parts(random.Random(6), **INSTANCES["weighted-200"])
+    f = parse_wcnf(render_old(n, hard, soft))
+    monkeypatch.setattr(search, "SearchState", None)  # a call would fail
+    assert solve(f, SolverConfig(max_flips=2000)).backend == "c"
+    for kind in (f.hard, f.soft):
+        assert (kind._rows, kind._vars, kind._occ) == (None, None, None)
+
+
+def test_start_declines_counts_beyond_32_bits(lib, monkeypatch):
     n, hard, soft = random_parts(random.Random(1))
     f = Formula(n, hard, soft)
     cfg = SolverConfig(max_flips=10).resolve(f)
-    state = SearchState(f, [0] * (n + 1))
-    assert kernel.handoff(state, cfg, random.Random(1)) is not None
+    assert kernel.start(f, cfg, random.Random(1)) is not None
     monkeypatch.setattr(kernel, "INT32_MAX", n)
-    assert kernel.handoff(state, cfg, random.Random(1)) is None
+    assert kernel.start(f, cfg, random.Random(1)) is None
 
 
 def test_layer_split_counts_every_part_of_an_unchanged_run(lib):
     n, hard, soft = random_parts(random.Random(9), **INSTANCES["unit-200"])
     f = Formula(n, hard, soft)
     cfg = SolverConfig(max_flips=4000, seed=2, decay_threshold=300)
-    plain = kernel.handoff
+    plain = kernel.start
     split = kernel.layer_split(f, cfg)
-    assert kernel.handoff is plain
+    assert kernel.start is plain
     expected = solve(f, cfg)
     assert (split["flips"], split["backend"]) == (expected.flips, "c")
     calls = {part: split[part]["calls"] for part in kernel.PARTS}
@@ -181,6 +215,19 @@ def test_second_process_uses_the_cached_build(tmp_path, instance):
     assert built == [kernel.library_path().name]
     # CC=false fails any compile: the C backend now comes from the cache.
     assert cli_solve(entry, instance, cc="false") == (first, "c")
+
+
+def test_build_deletes_the_libraries_of_other_sources(tmp_path, instance):
+    entry = copy_package(tmp_path)
+    cache = entry / "spbmaxsat" / "__pycache__"
+    cache.mkdir()
+    stale = cache / f"kernel.{'0' * 16}{kernel.library_path().suffixes[-1]}"
+    kept = [cache / "kernel.cpython-311.pyc", cache / "search.cpython-311.pyc"]
+    for p in [stale, *kept]:
+        p.write_bytes(b"")
+    assert cli_solve(entry, instance)[1] == "c"
+    assert sorted(p.name for p in cache.iterdir()) == \
+        sorted([kernel.library_path().name, *(p.name for p in kept)])
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "cache is a file"])

@@ -17,9 +17,9 @@ from spbmaxsat.search import (
     pick_from_falsified,
     solve,
 )
-from spbmaxsat.state import EPS, SearchState, flip, score
+from spbmaxsat.state import EPS, SearchState, flip
 
-from gen import random_parts, same_run
+from gen import as_set, random_parts, same_run, score
 
 F1 = parse_wcnf("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
 
@@ -176,7 +176,7 @@ class TestSolve:
                 assert state.spb.weight == 1.0
             if flips % 97 == 0:  # occasional full-scan equivalence check
                 full = {u for u in range(1, n + 1) if score(state, u) > EPS}
-                assert state.goodvars.as_set() == full
+                assert as_set(state.goodvars) == full
 
         # checked_flip sees the flips of the Python body only; the C kernel
         # must then make the same run.

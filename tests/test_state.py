@@ -7,9 +7,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from spbmaxsat.formula import Formula, parse_wcnf
-from spbmaxsat.state import SearchState, SpbConstraint, flip, score
+from spbmaxsat.state import SearchState, SpbConstraint, flip
 
-from gen import assert_state_matches_scratch, random_parts
+from gen import as_set, assert_state_matches_scratch, random_parts, score
 
 F1 = parse_wcnf("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
 
@@ -63,10 +63,10 @@ class TestFlip:
     def test_flip_updates_obj_and_falsified(self):
         s = make_state(F1, (1, 0))
         assert s.current_obj == 2
-        assert not s.falsified_hard.as_set()
+        assert not as_set(s.falsified_hard)
         flip(s, 1)
         assert s.current_obj == 0
-        assert s.falsified_hard.as_set() == {0}
+        assert as_set(s.falsified_hard) == {0}
         assert_state_matches_scratch(s)
 
     def test_involution_restores_exactly(self):
@@ -78,8 +78,8 @@ class TestFlip:
         before = (
             list(s.values), s.current_obj, list(s.hscore), list(s.softdelta),
             list(s.sat_count_hard), list(s.sat_count_soft),
-            s.falsified_hard.as_set(), s.falsified_soft.as_set(),
-            s.goodvars.as_set(),
+            as_set(s.falsified_hard), as_set(s.falsified_soft),
+            as_set(s.goodvars),
         )
         for v in range(1, n + 1):
             flip(s, v)
@@ -87,8 +87,8 @@ class TestFlip:
         after = (
             list(s.values), s.current_obj, list(s.hscore), list(s.softdelta),
             list(s.sat_count_hard), list(s.sat_count_soft),
-            s.falsified_hard.as_set(), s.falsified_soft.as_set(),
-            s.goodvars.as_set(),
+            as_set(s.falsified_hard), as_set(s.falsified_soft),
+            as_set(s.goodvars),
         )
         assert before == after
 
@@ -124,7 +124,7 @@ class TestFlip:
                            spb_weight=2.5)
             for _ in range(rng.randint(0, 30)):
                 flip(s, rng.randint(1, n))
-            cands = s.goodvars.as_set()
+            cands = as_set(s.goodvars)
             if not cands:
                 continue
             v = sorted(cands)[0]
