@@ -240,8 +240,9 @@ def _parse_bulk(data: bytes) -> Formula:
     """parse_wcnf on plain well-formed ASCII text, a chunk of whole lines
     at a time: one split() and map(int, ...) per chunk, rows found by
     their 0 terminators, every per-row step a C-level iterator. Raises
-    ValueError or OverflowError, with no useful message, on anything else:
-    the line parser then reports it."""
+    ValueError or OverflowError, with no useful message, on anything else,
+    an empty clause or a clause that repeats a variable included: the line
+    parser then reads it or reports the error."""
     if not data.isascii() or any(map(data.__contains__, _ODD_BREAKS)) \
             or data.count(b"\r") != data.count(b"\r\n"):
         raise _NotPlain
@@ -293,16 +294,7 @@ def _parse_bulk(data: bytes) -> Formula:
         variables = list(map(abs, ints))
         if 0 in lengths or any(map(ne, map(len, map(set, map(
                 variables.__getitem__, map(slice, firsts, ends)))), lengths)):
-            # An empty clause, or a repeated variable: normalize row by row.
-            weights.reverse()
-            for h, a, b in zip(is_hard, firsts, ends):
-                lits = ints[a:b]
-                max_var = max(max_var, *variables[a:b], 0)
-                if h:
-                    hard.add(lits)
-                else:
-                    soft.add(lits, weights.pop())
-            continue
+            raise _NotPlain  # an empty clause, or a repeated variable
         # With the weights zeroed, the literals are the nonzero ints; one
         # filter() per run of rows of one kind.
         deque(map(ints.__setitem__, weighted, repeat(0)), 0)
@@ -416,13 +408,20 @@ def parse_wcnf(source) -> Formula:
     is auto-detected from the first significant line. A variable above
     MAX_VARS is an error.
     """
-    data = source.encode() if isinstance(source, str) else source
+    if isinstance(source, bytes):
+        data, source = source, None
+    else:
+        try:
+            data = source.encode()
+        except UnicodeEncodeError:  # a lone surrogate, say
+            return _parse_lines(source)
     try:
         return _parse_bulk(data)
     except (ValueError, OverflowError):
-        # Anything but plain well-formed text: the line parser finds the
-        # error and its line, or reads the text (non-ASCII digits, say).
-        return _parse_lines(data.decode("utf-8"))
+        # Anything but plain well-formed text without empty clauses or
+        # repeated variables: the line parser finds the error and its line,
+        # or reads the text (non-ASCII digits, say).
+        return _parse_lines(data.decode("utf-8") if source is None else source)
 
 
 def load_wcnf(path) -> Formula:

@@ -163,9 +163,9 @@ def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]
     Returns None when nothing is falsified, i.e. the current assignment
     satisfies every clause and is therefore optimal.
     """
-    members, clause_vars = state.falsified_hard.members, state.formula.hard.vars
+    members, clause_vars = state.falsified_hard.members, state.hard_vars
     if not members:
-        members, clause_vars = state.falsified_soft.members, state.formula.soft.vars
+        members, clause_vars = state.falsified_soft.members, state.soft_vars
         if not members:
             return None
     return _best(state, clause_vars[members[int(rng.random() * len(members))]])

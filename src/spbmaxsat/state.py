@@ -59,11 +59,22 @@ class SearchState:
     """Mutable solver state over one shared immutable Formula.
 
     values holds the 0/1 assignment (index 0 unused) and is updated in
-    place by flip(); every flip stamp starts at 0 and step at 1.
+    place by flip(); every flip stamp starts at 0 and step at 1. The
+    formula's tuple views, occurrence lists and soft weights are looked up
+    once, at build, for the per-flip code.
     """
 
     __slots__ = (
         "formula",
+        "hard_rows",
+        "hard_vars",
+        "soft_rows",
+        "soft_vars",
+        "soft_weight",
+        "occ_hard_pos",
+        "occ_hard_neg",
+        "occ_soft_pos",
+        "occ_soft_neg",
         "values",
         "flip_stamp",
         "step",
@@ -88,6 +99,12 @@ class SearchState:
         if len(values) != formula.num_vars + 1:
             raise ValueError("assignment length does not match variable count")
         self.formula = formula
+        n = formula.num_vars
+        self.hard_rows, self.hard_vars = formula.hard.rows, formula.hard.vars
+        self.soft_rows, self.soft_vars = formula.soft.rows, formula.soft.vars
+        self.soft_weight = formula.soft_weights.tolist()
+        self.occ_hard_pos, self.occ_hard_neg = formula.hard.occurrences(n)
+        self.occ_soft_pos, self.occ_soft_neg = formula.soft.occurrences(n)
         self.values = values
         self.flip_stamp = [0] * len(values)
         self.step = 1
@@ -103,15 +120,15 @@ class SearchState:
         self.hscore = [0.0] * (n + 1)
         self.softdelta = [0] * (n + 1)
         self.sat_count_hard, self.sat_var_hard, self.falsified_hard, _ = _build_kind(
-            values, f.hard, self.hard_weight, self.hscore)
+            values, self.hard_rows, self.hard_vars, self.hard_weight, self.hscore)
         self.sat_count_soft, self.sat_var_soft, self.falsified_soft, soft_falsified = _build_kind(
-            values, f.soft, f.soft_weights, self.softdelta)
+            values, self.soft_rows, self.soft_vars, self.soft_weight, self.softdelta)
         self.current_obj = f.soft_base + soft_falsified
         self.goodvars = IndexSet(n + 1)
         refresh_candidacy(self, range(1, n + 1))
 
 
-def _build_kind(values, clauses, weights, scores):
+def _build_kind(values, clauses, clause_vars, weights, scores):
     """Satisfied-literal bookkeeping of one clause kind (hard or soft).
 
     Adds each clause's make/break weight into scores and returns its
@@ -123,7 +140,7 @@ def _build_kind(values, clauses, weights, scores):
     sat_var = [0] * len(clauses)
     falsified = IndexSet(len(clauses))
     falsified_weight = 0
-    for cid, lits in enumerate(clauses.rows):
+    for cid, lits in enumerate(clauses):
         cnt = 0
         for lit in lits:
             if values[lit] if lit > 0 else not values[-lit]:
@@ -133,7 +150,7 @@ def _build_kind(values, clauses, weights, scores):
         if cnt == 0:
             falsified.add(cid)
             falsified_weight += weights[cid]
-    _add_scores(count, sat_var, clauses.vars, weights, scores)
+    _add_scores(count, sat_var, clause_vars, weights, scores)
     return count, sat_var, falsified, falsified_weight
 
 
@@ -180,7 +197,6 @@ def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
 
 def flip(state: SearchState, v: int) -> None:
     """Flip one variable and update every derived field incrementally."""
-    f = state.formula
     values = state.values
     old = values[v]
     values[v] = 1 - old
@@ -189,16 +205,16 @@ def flip(state: SearchState, v: int) -> None:
     # softdelta[v] is exactly the objective drop of flipping v.
     state.current_obj -= state.softdelta[v]
     if old:
-        made_h, broken_h = f.occ_hard_neg[v], f.occ_hard_pos[v]
-        made_s, broken_s = f.occ_soft_neg[v], f.occ_soft_pos[v]
+        made_h, broken_h = state.occ_hard_neg[v], state.occ_hard_pos[v]
+        made_s, broken_s = state.occ_soft_neg[v], state.occ_soft_pos[v]
     else:
-        made_h, broken_h = f.occ_hard_pos[v], f.occ_hard_neg[v]
-        made_s, broken_s = f.occ_soft_pos[v], f.occ_soft_neg[v]
+        made_h, broken_h = state.occ_hard_pos[v], state.occ_hard_neg[v]
+        made_s, broken_s = state.occ_soft_pos[v], state.occ_soft_neg[v]
     touched = []
-    _flip_kind(values, v, made_h, broken_h, f.hard.rows, f.hard.vars, state.hard_weight,
+    _flip_kind(values, v, made_h, broken_h, state.hard_rows, state.hard_vars, state.hard_weight,
                state.hscore, state.sat_count_hard, state.sat_var_hard,
                state.falsified_hard, touched)
-    _flip_kind(values, v, made_s, broken_s, f.soft.rows, f.soft.vars, f.soft_weights,
+    _flip_kind(values, v, made_s, broken_s, state.soft_rows, state.soft_vars, state.soft_weight,
                state.softdelta, state.sat_count_soft, state.sat_var_soft,
                state.falsified_soft, touched)
     refresh_candidacy(state, touched)

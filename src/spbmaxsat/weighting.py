@@ -43,9 +43,8 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     change, then the decay trigger is checked. cfg is a resolved
     SolverConfig.
     """
-    f = state.formula
     hs = state.hscore
-    hard_vars = f.hard.vars
+    hard_vars = state.hard_vars
     hard_weight = state.hard_weight
     hard_delta = cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0
     h_inc = cfg.h_inc
@@ -69,7 +68,7 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
         # it lowers obj, so it lies in a falsified soft clause: those clauses'
         # variables are enough. Members of goodvars with negative softdelta
         # may drop out (relevant when invoked outside a local optimum).
-        soft_vars = f.soft.vars
+        soft_vars = state.soft_vars
         for cid in state.falsified_soft.members:
             touched.extend(soft_vars[cid])
         touched.extend(state.goodvars.members)
@@ -97,7 +96,7 @@ def decay_weights(state: SearchState, cfg: SolverConfig) -> bool:
     state.spb.weight = w if w > 1.0 else 1.0
     state.max_hard_weight = max(hw, default=1.0)
     hs = [0.0] * len(state.hscore)
-    _add_scores(state.sat_count_hard, state.sat_var_hard, state.formula.hard.vars, hw, hs)
+    _add_scores(state.sat_count_hard, state.sat_var_hard, state.hard_vars, hw, hs)
     state.hscore = hs
     refresh_candidacy(state, range(1, len(hs)))
     return True

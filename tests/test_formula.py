@@ -102,6 +102,11 @@ class TestParsing:
         assert f.soft.rows == ((2,),)
         assert f.total_soft_weight == 3
 
+    def test_lone_surrogate_in_a_comment(self):
+        # str input that cannot be encoded goes to the line parser as it is.
+        text = "c \udc80\n" + F1_NEW
+        assert formula_fields(parse_wcnf(text)) == formula_fields(parse_wcnf(F1_NEW))
+
     def test_empty_hard_clause_marks_infeasible(self):
         f = parse_wcnf("h 0\n1 1 0\n")
         assert f.has_empty_hard
@@ -182,8 +187,9 @@ SEP = st.sampled_from([" ", "\t", "  ", " \t "])
 
 @st.composite
 def wcnf_texts(draw):
-    """(text, expected Formula): random clause lists written in either
-    format, with comments, blank lines, CRLF endings and tabs mixed in."""
+    """(text, expected Formula, plain): random clause lists written in
+    either format, with comments, blank lines, CRLF endings and tabs mixed
+    in; plain when no clause is empty or repeats a variable."""
     hard = draw(st.lists(CLAUSE, max_size=8))
     soft = draw(st.lists(st.tuples(st.integers(1, 50), CLAUSE), max_size=8))
     classic = draw(st.booleans())
@@ -210,7 +216,9 @@ def wcnf_texts(draw):
     text = "".join(line + eol for line, eol in zip(lines, eols))
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no line break after the last line
-    return text, Formula(n, hard, soft)
+    plain = all(lits and len(set(map(abs, lits))) == len(lits)
+                for lits in hard + [c for _, c in soft])
+    return text, Formula(n, hard, soft), plain
 
 
 def formula_fields(f: Formula):
@@ -221,9 +229,14 @@ def formula_fields(f: Formula):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wcnf_texts())
 def test_both_parsers_read_what_formula_builds_from_the_lists(case):
-    text, expected = case
+    text, expected, plain = case
     want = formula_fields(expected)
-    assert formula_fields(_parse_bulk(text.encode())) == want
+    if plain:
+        assert formula_fields(_parse_bulk(text.encode())) == want
+    else:
+        # An empty clause or a repeated variable is left to the line parser.
+        with pytest.raises(ValueError):
+            _parse_bulk(text.encode())
     assert formula_fields(_parse_lines(text)) == want
     assert formula_fields(parse_wcnf(text)) == want
 
