@@ -105,8 +105,9 @@ class Clauses:
 
     def occurrences(self, num_vars: int):
         """Per variable v, the ids of the clauses with literal v and those
-        with literal -v, in clause order: a (positive, negative) pair."""
-        if self._occ is None:
+        with literal -v, in clause order: a (positive, negative) pair.
+        Rebuilt when asked for another variable count than the cached one."""
+        if self._occ is None or len(self._occ[0]) != num_vars + 1:
             pos: List[List[int]] = [[] for _ in range(num_vars + 1)]
             neg: List[List[int]] = [[] for _ in range(num_vars + 1)]
             for cid, lits in enumerate(self.rows):
@@ -227,57 +228,50 @@ class Formula:
 
 # --- parsing ----------------------------------------------------------------
 
-class _NotPlain(ValueError):
-    """Input that the bulk parser leaves to the line parser."""
+_CHUNK = 1 << 16  # characters of whole lines parsed at a time: bounds the lists per chunk
 
 
-# Bytes that str.splitlines() takes as line breaks beside "\n" and "\r\n".
-_ODD_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-_CHUNK = 1 << 16  # bytes of whole lines parsed at a time: bounds the lists per chunk
-
-
-def _parse_bulk(data: bytes) -> Formula:
-    """parse_wcnf on plain well-formed ASCII text, a chunk of whole lines
-    at a time: one split() and map(int, ...) per chunk, rows found by
-    their 0 terminators, every per-row step a C-level iterator. Raises
-    ValueError or OverflowError, with no useful message, on anything else,
-    an empty clause or a clause that repeats a variable included: the line
-    parser then reads it or reports the error."""
-    if not data.isascii() or any(map(data.__contains__, _ODD_BREAKS)) \
-            or data.count(b"\r") != data.count(b"\r\n"):
-        raise _NotPlain
+def _parse_bulk(text: str) -> Formula:
+    """parse_wcnf on well-formed text, a chunk of whole lines at a time:
+    one split() and map(int, ...) per chunk, rows found by their 0
+    terminators, every per-row step a C-level iterator. Lines are those of
+    str.splitlines(), as in _parse_lines. Raises ValueError or
+    OverflowError, with no useful message, on anything else, an empty
+    clause or a clause that repeats a variable included; Formula raises
+    for a variable count, a literal or a soft total out of range. The line
+    parser then reads the text or reports the error."""
     hard, soft = Clauses(), Clauses(weighted=True)
     top = None  # the classic format's top weight; None when headerless
     first = True
-    num_vars = max_var = soft_total = 0
+    num_vars = max_var = 0
     start = 0
-    while start < len(data):
-        end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
-        rows = [r for r in map(bytes.strip, data[start:end].split(b"\n"))
-                if r and not r.startswith(b"c")]
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        rows = [r for r in map(str.strip, text[start:end].splitlines())
+                if r and not r.startswith("c")]
         start = end
         if rows and first:
             first = False
-            if rows[0].startswith(b"p"):
+            if rows[0].startswith("p"):
                 p, fmt, nv, nc, top = rows.pop(0).split()
                 num_vars, _, top = int(nv), int(nc), int(top)
-                if p != b"p" or fmt != b"wcnf" or not 0 <= num_vars <= MAX_VARS or top < 1:
-                    raise _NotPlain
+                if p != "p" or fmt != "wcnf" or top < 1:
+                    raise ValueError
         if not rows:
             continue
-        if not all(map(bytes.endswith, rows, repeat((b" 0", b"\t0")))):
-            raise _NotPlain
-        text = b" ".join(rows)
+        if not all(map(str.endswith, rows, repeat((" 0", "\t0")))):
+            raise ValueError
+        joined = " ".join(rows)
         if top is None:
             # Drop the "h" markers; the count shows each is a row's first token.
-            is_hard = list(map(bytes.startswith, rows, repeat((b"h ", b"h\t"))))
-            if text.count(b"h") != sum(is_hard):
-                raise _NotPlain
-            text = text.replace(b"h", b"")
-        ints = list(map(int, text.split()))
+            is_hard = list(map(str.startswith, rows, repeat(("h ", "h\t"))))
+            if joined.count("h") != sum(is_hard):
+                raise ValueError
+            joined = joined.replace("h", "")
+        ints = list(map(int, joined.split()))
         ends = list(compress(count(), map(not_, ints)))
         if len(ends) != len(rows):  # a 0 inside a row
-            raise _NotPlain
+            raise ValueError
         starts = [0, *map((1).__add__, ends[:-1])]
         if top is not None:
             is_hard = list(map(top.__le__, map(ints.__getitem__, starts)))
@@ -285,8 +279,7 @@ def _parse_bulk(data: bytes) -> Formula:
         weighted = starts if top is not None else list(compress(starts, is_soft))
         weights = list(map(ints.__getitem__, compress(starts, is_soft)))
         if weights and min(weights) < 1:
-            raise _NotPlain
-        soft_total += sum(weights)
+            raise ValueError
         # A row's literals follow its weight, if it has one, up to its end.
         firsts = list(map(add, starts, is_soft)) if top is None else \
             list(map((1).__add__, starts))
@@ -294,7 +287,7 @@ def _parse_bulk(data: bytes) -> Formula:
         variables = list(map(abs, ints))
         if 0 in lengths or any(map(ne, map(len, map(set, map(
                 variables.__getitem__, map(slice, firsts, ends)))), lengths)):
-            raise _NotPlain  # an empty clause, or a repeated variable
+            raise ValueError  # an empty clause, or a repeated variable
         # With the weights zeroed, the literals are the nonzero ints; one
         # filter() per run of rows of one kind.
         deque(map(ints.__setitem__, weighted, repeat(0)), 0)
@@ -305,11 +298,7 @@ def _parse_bulk(data: bytes) -> Formula:
             kind.lits.extend(filter(None, ints[starts[a]:ends[b - 1]]))
             kind.off.extend(map(kind.off[-1].__add__, accumulate(lengths[a:b])))
         soft.weights.extend(weights)
-    if top is None:
-        num_vars = max_var
-    if max_var > num_vars or num_vars > MAX_VARS or soft_total > MAX_TOTAL_SOFT_WEIGHT:
-        raise _NotPlain
-    return Formula(num_vars, hard, soft)
+    return Formula(max_var if top is None else num_vars, hard, soft)
 
 
 def _parse_int(token: str, kind: str, msg: str, line_no: int) -> int:
@@ -332,10 +321,11 @@ def _split_clause_tokens(tokens: List[str], line_no: int) -> List[int]:
     return lits
 
 
-def _parse_lines(source: str) -> Formula:
-    """parse_wcnf one line at a time: the reference that reports each error
-    with its line number, and reads what the bulk parser leaves to it."""
-    lines = source.splitlines()
+def _parse_lines(text: str) -> Formula:
+    """parse_wcnf one line of str.splitlines() at a time: the reference
+    that reports each error with its line number, and reads what the bulk
+    parser leaves to it (empty clauses and repeated variables, say)."""
+    lines = text.splitlines()
 
     classic = False
     for raw in lines:
@@ -345,8 +335,7 @@ def _parse_lines(source: str) -> Formula:
             break
     num_vars = None if classic else 0
     top = None
-    hard: List[List[int]] = []
-    soft: List[Tuple[int, List[int]]] = []
+    hard, soft = Clauses(), Clauses(weighted=True)
     running_total = 0
 
     for line_no, raw in enumerate(lines, start=1):
@@ -386,44 +375,43 @@ def _parse_lines(source: str) -> Formula:
         if classic:
             is_hard = weight >= top
         if is_hard:
-            hard.append(lits)
+            hard.add(lits)
             continue
         if weight < 1:
             raise ParseError("soft-weight", f"soft clause weight must be positive, got {weight}", line_no)
         running_total += weight
         if running_total > MAX_TOTAL_SOFT_WEIGHT:
             raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
-        soft.append((weight, lits))
+        soft.add(lits, weight)
 
     return Formula(num_vars, hard, soft)
 
 
 def parse_wcnf(source) -> Formula:
-    """Parse WCNF text in either the classic headered or the headerless format.
+    """Parse WCNF text, str or UTF-8 bytes, in either the classic headered
+    or the headerless format.
 
     Classic: "p wcnf <num_vars> <num_clauses> <top>" followed by
     "<weight> <lit>... 0" lines, weight >= top meaning hard. Headerless:
     "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft, num_vars being
-    the largest variable mentioned. Comment lines start with "c". The format
-    is auto-detected from the first significant line. A variable above
-    MAX_VARS is an error.
+    the largest variable mentioned. Comment lines start with "c". Lines end
+    at any break that str.splitlines() knows. The format is auto-detected
+    from the first significant line. A variable above MAX_VARS is an error.
     """
     if isinstance(source, bytes):
-        data, source = source, None
-    else:
-        try:
-            data = source.encode()
-        except UnicodeEncodeError:  # a lone surrogate, say
-            return _parse_lines(source)
+        source = source.decode("utf-8")
     try:
-        return _parse_bulk(data)
+        return _parse_bulk(source)
     except (ValueError, OverflowError):
-        # Anything but plain well-formed text without empty clauses or
-        # repeated variables: the line parser finds the error and its line,
-        # or reads the text (non-ASCII digits, say).
-        return _parse_lines(data.decode("utf-8") if source is None else source)
+        # An error, an empty clause or a repeated variable: the line parser
+        # finds the error and its line, or reads the text.
+        return _parse_lines(source)
 
 
 def load_wcnf(path) -> Formula:
-    with open(path, "rb") as fh:
+    """Parse the WCNF file at path, read as UTF-8 text. Universal newlines
+    turn CR and CRLF into LF, one line break to str.splitlines() either
+    way, so that _parse_bulk also cuts a file with CR line ends into
+    chunks."""
+    with open(path, encoding="utf-8") as fh:
         return parse_wcnf(fh.read())

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .formula import INF, Formula
-from .weighting import MODE_ALL_ADAPTIVE, MODE_CONSTANT
+from .weighting import mode_deltas
 
 SOURCE = Path(__file__).with_name("kernel.c")
 # -ffp-contract=off: a fused multiply-add would round differently from Python.
@@ -144,10 +144,9 @@ class Walk:
         f = self.formula = formula  # keeps the clause arrays alive
         nv = f.num_vars
         self._lib = lib
+        hard_delta, spb_delta = mode_deltas(cfg)
         self.st = st = _State(num_vars=nv, k=cfg.k, decimation=cfg.init == "decimation",
-                              h_inc=cfg.h_inc,
-                              hard_delta=cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0,
-                              spb_delta=1.0 if cfg.mode == MODE_CONSTANT else cfg.delta,
+                              h_inc=cfg.h_inc, hard_delta=hard_delta, spb_delta=spb_delta,
                               decay_threshold=cfg.decay_threshold,
                               step=1, current_obj=f.soft_base, max_hard_weight=1.0,
                               spb_weight=1.0)

@@ -2,7 +2,7 @@
 weighted soft-conflict constraint, and the decay safeguard."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 from .state import SearchState, SpbConstraint, _add_scores, refresh_candidacy
 
@@ -15,6 +15,16 @@ DECAY_FACTOR = 0.5
 
 if TYPE_CHECKING:
     from .search import SolverConfig
+
+
+def mode_deltas(cfg: SolverConfig) -> Tuple[float, float]:
+    """(hard_delta, spb_delta) of a resolved config: the factors by which
+    spb_weighting scales a falsified hard clause's and the soft-conflict
+    constraint's bumped weights. Hard clauses are scaled by delta in
+    all_adaptive mode only, the constraint by delta except in constant
+    mode; 1.0 leaves a bump additive."""
+    return (cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0,
+            1.0 if cfg.mode == MODE_CONSTANT else cfg.delta)
 
 
 def spb_is_falsified(spb: SpbConstraint, current_obj) -> bool:
@@ -35,10 +45,9 @@ def update_spb_bound(spb: SpbConstraint, new_cost) -> None:
 def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     """Raise the weights of everything falsified by the current assignment.
 
-    Each falsified hard clause's weight w becomes hard_delta * (w + h_inc),
-    where hard_delta is delta in all_adaptive mode and 1 otherwise (the
-    additive bump); if the soft-conflict constraint itself is violated, its
-    weight is updated multiplicatively (delta forced to 1 in constant mode).
+    Each falsified hard clause's weight w becomes hard_delta * (w + h_inc);
+    if the soft-conflict constraint itself is violated, its weight w becomes
+    spb_delta * (w + 1), both factors from mode_deltas.
     Score caches are adjusted for exactly the variables whose score can
     change, then the decay trigger is checked. cfg is a resolved
     SolverConfig.
@@ -46,7 +55,7 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
     hs = state.hscore
     hard_vars = state.hard_vars
     hard_weight = state.hard_weight
-    hard_delta = cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0
+    hard_delta, spb_delta = mode_deltas(cfg)
     h_inc = cfg.h_inc
     touched = []
 
@@ -62,8 +71,7 @@ def spb_weighting(state: SearchState, cfg: SolverConfig) -> None:
             state.max_hard_weight = new
 
     if spb_is_falsified(state.spb, state.current_obj):
-        delta = 1.0 if cfg.mode == MODE_CONSTANT else cfg.delta
-        state.spb.weight = delta * (state.spb.weight + 1.0)
+        state.spb.weight = spb_delta * (state.spb.weight + 1.0)
         # A variable with positive softdelta may turn positive-score. Flipping
         # it lowers obj, so it lies in a falsified soft clause: those clauses'
         # variables are enough. Members of goodvars with negative softdelta

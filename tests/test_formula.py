@@ -8,7 +8,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbmaxsat.formula import INF, Formula, ParseError, _parse_bulk, _parse_lines, parse_wcnf
+from spbmaxsat import kernel
+from spbmaxsat.formula import (INF, Clauses, Formula, ParseError, _parse_bulk, _parse_lines,
+                               load_wcnf, parse_wcnf)
+from spbmaxsat.search import SolverConfig, solve
 
 from gen import random_parts, render_new, render_old
 
@@ -103,9 +106,22 @@ class TestParsing:
         assert f.total_soft_weight == 3
 
     def test_lone_surrogate_in_a_comment(self):
-        # str input that cannot be encoded goes to the line parser as it is.
+        # A str that cannot be encoded as UTF-8 still takes the bulk path.
         text = "c \udc80\n" + F1_NEW
+        assert formula_fields(_parse_bulk(text)) == formula_fields(parse_wcnf(F1_NEW))
         assert formula_fields(parse_wcnf(text)) == formula_fields(parse_wcnf(F1_NEW))
+
+    def test_file_line_breaks(self, tmp_path):
+        data = F1_OLD.encode().replace(b"\n", b"\r", 2).replace(b"\n", b"\r\n", 1)
+        path = tmp_path / "f1.wcnf"
+        path.write_bytes(data)
+        assert formula_fields(load_wcnf(path)) == formula_fields(parse_wcnf(F1_OLD))
+
+    def test_non_ascii_digit_in_a_literal(self):
+        text = "h 1 \u0662 0\n3 -1 0\n"
+        want = formula_fields(Formula(2, [[1, 2]], [(3, [-1])]))
+        assert formula_fields(_parse_bulk(text)) == want
+        assert formula_fields(_parse_lines(text)) == want
 
     def test_empty_hard_clause_marks_infeasible(self):
         f = parse_wcnf("h 0\n1 1 0\n")
@@ -155,7 +171,7 @@ def test_parse_error_kind_line_and_message(text, kind, line_no, message):
 @pytest.mark.parametrize("text", [row[0] for row in PARSE_ERRORS])
 def test_bulk_parser_leaves_every_error_to_the_line_parser(text):
     with pytest.raises((ValueError, OverflowError)) as exc:
-        _parse_bulk(text.encode())
+        _parse_bulk(text)
     assert not isinstance(exc.value, ParseError)
 
 
@@ -181,15 +197,18 @@ def test_variable_counts_are_checked_before_any_allocation():
 # --- the bulk parser against Formula built from the same clause lists ------
 
 CLAUSE = st.lists(st.integers(-9, 9).filter(bool), max_size=5)  # repeats, tautologies, empty
-NOISE = st.sampled_from(["c comment", "  c indented 1 0", "\tc", "c h 1 0", "", "  ", "\t"])
+NOISE = st.sampled_from(["c comment", "  c indented 1 0", "\tc", "c h 1 0", "", "  ", "\t",
+                         "c café \udc80"])
 SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+EOLS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
 
 
 @st.composite
 def wcnf_texts(draw):
     """(text, expected Formula, plain): random clause lists written in
-    either format, with comments, blank lines, CRLF endings and tabs mixed
-    in; plain when no clause is empty or repeats a variable."""
+    either format, with comments, blank lines, tabs and the line breaks of
+    str.splitlines() mixed in; plain when no clause is empty or repeats a
+    variable."""
     hard = draw(st.lists(CLAUSE, max_size=8))
     soft = draw(st.lists(st.tuples(st.integers(1, 50), CLAUSE), max_size=8))
     classic = draw(st.booleans())
@@ -211,11 +230,11 @@ def wcnf_texts(draw):
         lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens)
                      + draw(st.sampled_from(["", " ", "\t"])))
     lines += draw(st.lists(NOISE, max_size=2))
-    eols = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+    eols = draw(st.lists(st.sampled_from(EOLS), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(line + eol for line, eol in zip(lines, eols))
     if text and draw(st.booleans()):
-        text = text.rstrip("\r\n")  # no line break after the last line
+        text = text[:-len(eols[-1])]  # no line break after the last line
     plain = all(lits and len(set(map(abs, lits))) == len(lits)
                 for lits in hard + [c for _, c in soft])
     return text, Formula(n, hard, soft), plain
@@ -232,11 +251,11 @@ def test_both_parsers_read_what_formula_builds_from_the_lists(case):
     text, expected, plain = case
     want = formula_fields(expected)
     if plain:
-        assert formula_fields(_parse_bulk(text.encode())) == want
+        assert formula_fields(_parse_bulk(text)) == want
     else:
         # An empty clause or a repeated variable is left to the line parser.
         with pytest.raises(ValueError):
-            _parse_bulk(text.encode())
+            _parse_bulk(text)
     assert formula_fields(_parse_lines(text)) == want
     assert formula_fields(parse_wcnf(text)) == want
 
@@ -247,11 +266,21 @@ def test_bulk_parser_reads_many_chunks(monkeypatch):
     rng = random.Random(4)
     n, hard, soft = random_parts(rng, min_vars=50, max_vars=50, min_clauses=400,
                                  max_clauses=400)
-    text = render_new(n, hard, soft).encode()
+    text = render_new(n, hard, soft)
     expected = formula_fields(_parse_bulk(text))
     monkeypatch.setattr(formula, "_CHUNK", 64)
     assert formula_fields(_parse_bulk(text)) == expected
-    assert formula_fields(_parse_bulk(text.replace(b"h", b"c x\nh", 9))) == expected
+    assert formula_fields(_parse_bulk(text.replace("h", "c x\nh", 9))) == expected
+
+
+def test_formulas_sharing_clauses_get_their_own_occurrence_lists(monkeypatch):
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    c = Clauses()
+    c.add([1, 2])
+    assert len(Formula(2, c, []).occ_hard_pos) == 3
+    f = Formula(5, c, [(1, [5])])
+    assert f.occ_hard_pos == ((), (0,), (0,), (), (), ())
+    assert solve(f, SolverConfig(max_flips=10)).best_cost == 0
 
 
 class TestEvaluation:
