@@ -6,11 +6,9 @@ CSR form: a flat array of literals plus clause offsets (see Clauses).
 """
 from __future__ import annotations
 
+import re
 from array import array
-from collections import deque
-from itertools import accumulate, compress, count, repeat
-from operator import add, ne, not_, sub
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 INF = float("inf")
 
@@ -228,77 +226,20 @@ class Formula:
 
 # --- parsing ----------------------------------------------------------------
 
-_CHUNK = 1 << 16  # characters of whole lines parsed at a time: bounds the lists per chunk
+_CHUNK = 1 << 16  # characters of whole lines split at a time: bounds the line list
+# Every line break of str.splitlines(), "\r\n" as one.
+_BREAK = re.compile("\r\n|[\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
 
-def _parse_bulk(text: str) -> Formula:
-    """parse_wcnf on well-formed text, a chunk of whole lines at a time:
-    one split() and map(int, ...) per chunk, rows found by their 0
-    terminators, every per-row step a C-level iterator. Lines are those of
-    str.splitlines(), as in _parse_lines. Raises ValueError or
-    OverflowError, with no useful message, on anything else, an empty
-    clause or a clause that repeats a variable included; Formula raises
-    for a variable count, a literal or a soft total out of range. The line
-    parser then reads the text or reports the error."""
-    hard, soft = Clauses(), Clauses(weighted=True)
-    top = None  # the classic format's top weight; None when headerless
-    first = True
-    num_vars = max_var = 0
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), split a chunk of about _CHUNK
+    characters at a time; each chunk ends just after a line break."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        rows = [r for r in map(str.strip, text[start:end].splitlines())
-                if r and not r.startswith("c")]
+        cut = _BREAK.search(text, start + _CHUNK)
+        end = cut.end() if cut else len(text)
+        yield from text[start:end].splitlines()
         start = end
-        if rows and first:
-            first = False
-            if rows[0].startswith("p"):
-                p, fmt, nv, nc, top = rows.pop(0).split()
-                num_vars, _, top = int(nv), int(nc), int(top)
-                if p != "p" or fmt != "wcnf" or top < 1:
-                    raise ValueError
-        if not rows:
-            continue
-        if not all(map(str.endswith, rows, repeat((" 0", "\t0")))):
-            raise ValueError
-        joined = " ".join(rows)
-        if top is None:
-            # Drop the "h" markers; the count shows each is a row's first token.
-            is_hard = list(map(str.startswith, rows, repeat(("h ", "h\t"))))
-            if joined.count("h") != sum(is_hard):
-                raise ValueError
-            joined = joined.replace("h", "")
-        ints = list(map(int, joined.split()))
-        ends = list(compress(count(), map(not_, ints)))
-        if len(ends) != len(rows):  # a 0 inside a row
-            raise ValueError
-        starts = [0, *map((1).__add__, ends[:-1])]
-        if top is not None:
-            is_hard = list(map(top.__le__, map(ints.__getitem__, starts)))
-        is_soft = list(map(not_, is_hard))
-        weighted = starts if top is not None else list(compress(starts, is_soft))
-        weights = list(map(ints.__getitem__, compress(starts, is_soft)))
-        if weights and min(weights) < 1:
-            raise ValueError
-        # A row's literals follow its weight, if it has one, up to its end.
-        firsts = list(map(add, starts, is_soft)) if top is None else \
-            list(map((1).__add__, starts))
-        lengths = list(map(sub, ends, firsts))
-        variables = list(map(abs, ints))
-        if 0 in lengths or any(map(ne, map(len, map(set, map(
-                variables.__getitem__, map(slice, firsts, ends)))), lengths)):
-            raise ValueError  # an empty clause, or a repeated variable
-        # With the weights zeroed, the literals are the nonzero ints; one
-        # filter() per run of rows of one kind.
-        deque(map(ints.__setitem__, weighted, repeat(0)), 0)
-        max_var = max(max_var, max(ints), -min(ints))
-        cuts = [0, *compress(count(1), map(ne, is_hard, is_hard[1:])), len(rows)]
-        for a, b in zip(cuts, cuts[1:]):
-            kind = hard if is_hard[a] else soft
-            kind.lits.extend(filter(None, ints[starts[a]:ends[b - 1]]))
-            kind.off.extend(map(kind.off[-1].__add__, accumulate(lengths[a:b])))
-        soft.weights.extend(weights)
-    return Formula(max_var if top is None else num_vars, hard, soft)
 
 
 def _parse_int(token: str, kind: str, msg: str, line_no: int) -> int:
@@ -308,83 +249,27 @@ def _parse_int(token: str, kind: str, msg: str, line_no: int) -> int:
         raise ParseError(kind, f"{msg}: {token!r}", line_no) from None
 
 
-def _split_clause_tokens(tokens: List[str], line_no: int) -> List[int]:
-    """Literal tokens of one clause line, with the trailing 0 stripped."""
-    if not tokens or tokens[-1] != "0":
-        raise ParseError("terminator", "clause line missing terminating 0", line_no)
-    lits = []
-    for tok in tokens[:-1]:
-        lit = _parse_int(tok, "clause", "invalid literal", line_no)
-        if lit == 0:
-            raise ParseError("terminator", "unexpected 0 before end of clause line", line_no)
-        lits.append(lit)
-    return lits
+def _header(tokens: List[str], line: str, line_no: int) -> Tuple[int, int]:
+    """(num_vars, top) of a "p wcnf" line."""
+    if len(tokens) != 5 or tokens[1] != "wcnf":
+        raise ParseError("header", f"malformed header: {line.strip()!r}", line_no)
+    num_vars = _parse_int(tokens[2], "header", "invalid variable count", line_no)
+    _parse_int(tokens[3], "header", "invalid clause count", line_no)
+    top = _parse_int(tokens[4], "header", "invalid top weight", line_no)
+    if num_vars < 0 or top < 1:
+        raise ParseError("header", "header values out of range", line_no)
+    if num_vars > MAX_VARS:
+        raise ParseError("header", f"variable count {num_vars} exceeds {MAX_VARS}", line_no)
+    return num_vars, top
 
 
-def _parse_lines(text: str) -> Formula:
-    """parse_wcnf one line of str.splitlines() at a time: the reference
-    that reports each error with its line number, and reads what the bulk
-    parser leaves to it (empty clauses and repeated variables, say)."""
-    lines = text.splitlines()
-
-    classic = False
-    for raw in lines:
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("c"):
-            classic = stripped.startswith("p")
+def _literal_error(tokens: List[str], line_no: int) -> ParseError:
+    """The error of a clause line's first literal token that is not a nonzero
+    int: raised if it is no int, returned if it is a 0."""
+    for tok in tokens[1:-1]:
+        if _parse_int(tok, "clause", "invalid literal", line_no) == 0:
             break
-    num_vars = None if classic else 0
-    top = None
-    hard, soft = Clauses(), Clauses(weighted=True)
-    running_total = 0
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if classic and tokens[0] == "p":
-            if num_vars is not None:
-                raise ParseError("header", "duplicate problem header", line_no)
-            if len(tokens) != 5 or tokens[1] != "wcnf":
-                raise ParseError("header", f"malformed header: {line!r}", line_no)
-            num_vars = _parse_int(tokens[2], "header", "invalid variable count", line_no)
-            _parse_int(tokens[3], "header", "invalid clause count", line_no)
-            top = _parse_int(tokens[4], "header", "invalid top weight", line_no)
-            if num_vars < 0 or top < 1:
-                raise ParseError("header", "header values out of range", line_no)
-            if num_vars > MAX_VARS:
-                raise ParseError("header", f"variable count {num_vars} exceeds {MAX_VARS}",
-                                 line_no)
-            continue
-        if num_vars is None:
-            raise ParseError("header", "clause before 'p wcnf' header", line_no)
-        is_hard = not classic and tokens[0] == "h"
-        if not is_hard:
-            weight = _parse_int(tokens[0], "clause", "invalid clause weight", line_no)
-        lits = _split_clause_tokens(tokens[1:], line_no)
-        for lit in lits:
-            if abs(lit) > num_vars:
-                if classic:
-                    raise ParseError(
-                        "var-range", f"variable {abs(lit)} exceeds declared count {num_vars}", line_no)
-                if abs(lit) > MAX_VARS:
-                    raise ParseError("var-range", f"variable {abs(lit)} exceeds {MAX_VARS}",
-                                     line_no)
-                num_vars = abs(lit)
-        if classic:
-            is_hard = weight >= top
-        if is_hard:
-            hard.add(lits)
-            continue
-        if weight < 1:
-            raise ParseError("soft-weight", f"soft clause weight must be positive, got {weight}", line_no)
-        running_total += weight
-        if running_total > MAX_TOTAL_SOFT_WEIGHT:
-            raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
-        soft.add(lits, weight)
-
-    return Formula(num_vars, hard, soft)
+    return ParseError("terminator", "unexpected 0 before end of clause line", line_no)
 
 
 def parse_wcnf(source) -> Formula:
@@ -397,21 +282,75 @@ def parse_wcnf(source) -> Formula:
     the largest variable mentioned. Comment lines start with "c". Lines end
     at any break that str.splitlines() knows. The format is auto-detected
     from the first significant line. A variable above MAX_VARS is an error.
+    Each error is a ParseError with the number of its line.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    try:
-        return _parse_bulk(source)
-    except (ValueError, OverflowError):
-        # An error, an empty clause or a repeated variable: the line parser
-        # finds the error and its line, or reads the text.
-        return _parse_lines(source)
+    hard, soft = Clauses(), Clauses(weighted=True)
+    hard_lits, hard_off = hard.lits, hard.off
+    soft_lits, soft_off, soft_weights = soft.lits, soft.off, soft.weights
+    classic = None  # set by the first significant line
+    num_vars = top = total = 0
+    for line_no, line in enumerate(_lines(source), 1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "c":
+            continue
+        head = tokens[0]
+        if classic is None:
+            classic = head[0] == "p"
+            if classic:
+                if head != "p":
+                    raise ParseError("header", "clause before 'p wcnf' header", line_no)
+                num_vars, top = _header(tokens, line, line_no)
+                continue
+        if classic or head != "h":
+            try:
+                weight = int(head)
+            except ValueError:
+                if classic and head == "p":
+                    raise ParseError("header", "duplicate problem header", line_no) from None
+                raise ParseError("clause", f"invalid clause weight: {head!r}", line_no) from None
+        if len(tokens) < 2 or tokens[-1] != "0":
+            raise ParseError("terminator", "clause line missing terminating 0", line_no)
+        try:
+            lits = list(map(int, tokens[1:-1]))
+        except ValueError:
+            raise _literal_error(tokens, line_no) from None
+        # One set finds an interior 0, a repeated variable and the largest one.
+        variables = set(map(abs, lits))
+        if 0 in variables:
+            raise _literal_error(tokens, line_no)
+        if variables and max(variables) > num_vars:
+            if classic or max(variables) > MAX_VARS:
+                limit = num_vars if classic else MAX_VARS
+                var = next(v for v in map(abs, lits) if v > limit)
+                bound = f"declared count {limit}" if classic else limit
+                raise ParseError("var-range", f"variable {var} exceeds {bound}", line_no)
+            num_vars = max(variables)
+        # Rows with no repeated variable go straight in; Clauses.add normalizes the rest.
+        if weight >= top if classic else head == "h":
+            if lits and len(variables) == len(lits):
+                hard_lits.fromlist(lits)
+                hard_off.append(len(hard_lits))
+            else:
+                hard.add(lits)
+            continue
+        if weight < 1:
+            raise ParseError("soft-weight",
+                             f"soft clause weight must be positive, got {weight}", line_no)
+        total += weight
+        if total > MAX_TOTAL_SOFT_WEIGHT:
+            raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
+        if lits and len(variables) == len(lits):
+            soft_lits.fromlist(lits)
+            soft_off.append(len(soft_lits))
+            soft_weights.append(weight)
+        else:
+            soft.add(lits, weight)
+    return Formula(num_vars, hard, soft)
 
 
 def load_wcnf(path) -> Formula:
-    """Parse the WCNF file at path, read as UTF-8 text. Universal newlines
-    turn CR and CRLF into LF, one line break to str.splitlines() either
-    way, so that _parse_bulk also cuts a file with CR line ends into
-    chunks."""
+    """Parse the WCNF file at path, read as UTF-8 text."""
     with open(path, encoding="utf-8") as fh:
         return parse_wcnf(fh.read())

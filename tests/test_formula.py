@@ -4,13 +4,14 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbmaxsat import kernel
-from spbmaxsat.formula import (INF, Clauses, Formula, ParseError, _parse_bulk, _parse_lines,
-                               load_wcnf, parse_wcnf)
+from spbmaxsat import formula, kernel
+from spbmaxsat.formula import INF, Clauses, Formula, ParseError, _lines, load_wcnf, parse_wcnf
 from spbmaxsat.search import SolverConfig, solve
 
 from gen import random_parts, render_new, render_old
@@ -106,9 +107,8 @@ class TestParsing:
         assert f.total_soft_weight == 3
 
     def test_lone_surrogate_in_a_comment(self):
-        # A str that cannot be encoded as UTF-8 still takes the bulk path.
+        # A str that cannot be encoded as UTF-8 still parses.
         text = "c \udc80\n" + F1_NEW
-        assert formula_fields(_parse_bulk(text)) == formula_fields(parse_wcnf(F1_NEW))
         assert formula_fields(parse_wcnf(text)) == formula_fields(parse_wcnf(F1_NEW))
 
     def test_file_line_breaks(self, tmp_path):
@@ -119,9 +119,8 @@ class TestParsing:
 
     def test_non_ascii_digit_in_a_literal(self):
         text = "h 1 \u0662 0\n3 -1 0\n"
-        want = formula_fields(Formula(2, [[1, 2]], [(3, [-1])]))
-        assert formula_fields(_parse_bulk(text)) == want
-        assert formula_fields(_parse_lines(text)) == want
+        assert formula_fields(parse_wcnf(text)) == \
+            formula_fields(Formula(2, [[1, 2]], [(3, [-1])]))
 
     def test_empty_hard_clause_marks_infeasible(self):
         f = parse_wcnf("h 0\n1 1 0\n")
@@ -168,11 +167,17 @@ def test_parse_error_kind_line_and_message(text, kind, line_no, message):
         (kind, line_no, f"line {line_no}: {message}")
 
 
-@pytest.mark.parametrize("text", [row[0] for row in PARSE_ERRORS])
-def test_bulk_parser_leaves_every_error_to_the_line_parser(text):
-    with pytest.raises((ValueError, OverflowError)) as exc:
-        _parse_bulk(text)
-    assert not isinstance(exc.value, ParseError)
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("text, kind, line_no, message", PARSE_ERRORS)
+def test_parse_error_line_past_the_first_chunk(monkeypatch, text, kind, line_no, message, eol):
+    # Comment and blank lines first, so that the error lies many chunks in.
+    monkeypatch.setattr(formula, "_CHUNK", 64)
+    prefix = ["c a comment line", "", " \t"] * 100
+    with pytest.raises(ParseError) as exc:
+        parse_wcnf(eol.join(prefix + text.split("\n")))
+    line_no += len(prefix)
+    assert (exc.value.kind, exc.value.line_no, str(exc.value)) == \
+        (kind, line_no, f"line {line_no}: {message}")
 
 
 def test_variable_counts_are_checked_before_any_allocation():
@@ -194,21 +199,20 @@ def test_variable_counts_are_checked_before_any_allocation():
     assert out.returncode == 0, out.stderr
 
 
-# --- the bulk parser against Formula built from the same clause lists ------
+# --- the parser against Formula built from the same clause lists -----------
 
 CLAUSE = st.lists(st.integers(-9, 9).filter(bool), max_size=5)  # repeats, tautologies, empty
 NOISE = st.sampled_from(["c comment", "  c indented 1 0", "\tc", "c h 1 0", "", "  ", "\t",
                          "c café \udc80"])
 SEP = st.sampled_from([" ", "\t", "  ", " \t "])
-EOLS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
+EOLS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def wcnf_texts(draw):
-    """(text, expected Formula, plain): random clause lists written in
-    either format, with comments, blank lines, tabs and the line breaks of
-    str.splitlines() mixed in; plain when no clause is empty or repeats a
-    variable."""
+    """(text, expected Formula): random clause lists, empty clauses and
+    repeated variables included, written in either format, with comments,
+    blank lines, tabs and the line breaks of str.splitlines() mixed in."""
     hard = draw(st.lists(CLAUSE, max_size=8))
     soft = draw(st.lists(st.tuples(st.integers(1, 50), CLAUSE), max_size=8))
     classic = draw(st.booleans())
@@ -235,9 +239,7 @@ def wcnf_texts(draw):
     text = "".join(line + eol for line, eol in zip(lines, eols))
     if text and draw(st.booleans()):
         text = text[:-len(eols[-1])]  # no line break after the last line
-    plain = all(lits and len(set(map(abs, lits))) == len(lits)
-                for lits in hard + [c for _, c in soft])
-    return text, Formula(n, hard, soft), plain
+    return text, Formula(n, hard, soft)
 
 
 def formula_fields(f: Formula):
@@ -247,30 +249,58 @@ def formula_fields(f: Formula):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wcnf_texts())
-def test_both_parsers_read_what_formula_builds_from_the_lists(case):
-    text, expected, plain = case
-    want = formula_fields(expected)
-    if plain:
-        assert formula_fields(_parse_bulk(text)) == want
-    else:
-        # An empty clause or a repeated variable is left to the line parser.
-        with pytest.raises(ValueError):
-            _parse_bulk(text)
-    assert formula_fields(_parse_lines(text)) == want
-    assert formula_fields(parse_wcnf(text)) == want
+def test_parser_reads_what_formula_builds_from_the_lists(case):
+    text, expected = case
+    assert formula_fields(parse_wcnf(text)) == formula_fields(expected)
 
 
-def test_bulk_parser_reads_many_chunks(monkeypatch):
-    import spbmaxsat.formula as formula
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(EOLS + ["a", " ", "0"])).map("".join))
+def test_chunks_cut_only_after_whole_line_breaks(text):
+    for chunk in (1, 2, 3, 64):
+        with mock.patch.object(formula, "_CHUNK", chunk):
+            assert list(_lines(text)) == text.splitlines()
 
+
+@pytest.mark.parametrize("eol", EOLS)
+def test_chunks_stay_small_whatever_the_line_break(monkeypatch, eol):
+    monkeypatch.setattr(formula, "_CHUNK", 1024)
+    text = ("h 1 -2 3 0" + eol) * 5000
+    tracemalloc.start()
+    try:
+        for _ in _lines(text):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 4  # a chunk's lines, not the whole text's
+
+
+def test_parser_reads_many_chunks(monkeypatch):
     rng = random.Random(4)
     n, hard, soft = random_parts(rng, min_vars=50, max_vars=50, min_clauses=400,
                                  max_clauses=400)
     text = render_new(n, hard, soft)
-    expected = formula_fields(_parse_bulk(text))
+    expected = formula_fields(parse_wcnf(text))
     monkeypatch.setattr(formula, "_CHUNK", 64)
-    assert formula_fields(_parse_bulk(text)) == expected
-    assert formula_fields(_parse_bulk(text.replace("h", "c x\nh", 9))) == expected
+    assert formula_fields(parse_wcnf(text)) == expected
+    assert formula_fields(parse_wcnf(text.replace("h", "c x\nh", 9))) == expected
+    assert formula_fields(parse_wcnf(text.replace("\n", "\r"))) == expected
+
+
+def test_one_repeated_variable_is_normalized_alone(monkeypatch):
+    # The row is handed to Clauses.add as it is read; the text is not read twice.
+    rng = random.Random(5)
+    n, hard, soft = random_parts(rng, min_vars=50, max_vars=50, min_clauses=400,
+                                 max_clauses=400)
+    w, lits = soft[-1]
+    soft[-1] = (w, lits + lits[:1])
+    expected = formula_fields(Formula(n, hard, soft))
+    calls = []
+    normalize = formula._normalize
+    monkeypatch.setattr(formula, "_normalize", lambda lits: calls.append(lits) or normalize(lits))
+    assert formula_fields(parse_wcnf(render_new(n, hard, soft))) == expected
+    assert calls == [lits + lits[:1]]
 
 
 def test_formulas_sharing_clauses_get_their_own_occurrence_lists(monkeypatch):
