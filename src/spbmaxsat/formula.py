@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 INF = float("inf")
 
-# Parser-enforced ceiling so that any sum of soft weights stays additive
+# Ceiling that Clauses.add enforces so that any sum of soft weights stays additive
 # without overflow checks downstream.
 MAX_TOTAL_SOFT_WEIGHT = (1 << 63) - 1
 # The C kernel indexes variables 0..num_vars with 32-bit ints.
@@ -29,48 +29,74 @@ class ParseError(ValueError):
         super().__init__(f"{prefix}{message}")
 
 
-def _normalize(literals: Iterable[int]) -> Optional[Tuple[int, ...]]:
+def _normalize(literals: Iterable[int]) -> Optional[List[int]]:
     """Deduplicate literals; return None for tautologies (x and -x present)."""
     seen = dict.fromkeys(literals)
     for lit in seen:
         if -lit in seen:
             return None
-    return tuple(seen)
+    return list(seen)
 
 
 class Clauses:
     """One clause kind in CSR form: clause c is lits[off[c]:off[c + 1]],
     with weight weights[c] when the kind is weighted (soft).
 
-    Clauses are stored normalized: repeated literals are dropped, a
-    tautology is dropped entirely, and an empty clause is not stored but
-    adds its weight (1 when unweighted) to `empty`. The tuple views used by
-    the Python search body are built on first use.
+    add() is the one check of a clause row, for the parser and for Formula
+    alike. Clauses are stored normalized: repeated literals are dropped, a
+    tautology is dropped entirely and an empty clause is not stored; each
+    of these two adds its weight (1 when unweighted) to `dropped` or
+    `empty`. `max_var` is the largest variable of any row added, dropped
+    ones included, and `total` the sum of every soft weight added, dropped
+    ones included, which add() keeps within 63 bits. The tuple views used
+    by the Python search body are built on first use.
     """
 
-    __slots__ = ("lits", "off", "weights", "empty", "_rows", "_vars", "_occ")
+    __slots__ = ("lits", "off", "weights", "empty", "dropped", "total", "max_var",
+                 "_rows", "_vars", "_occ")
 
     def __init__(self, weighted: bool = False):
         self.lits = array("i")
         self.off = array("i", [0])
         self.weights = array("q") if weighted else None
-        self.empty = 0
+        self.empty = self.dropped = self.total = self.max_var = 0
         self._rows = self._vars = self._occ = None
 
-    def add(self, lits: Sequence[int], weight: int = 1) -> None:
-        """Append one clause, normalized."""
-        norm = _normalize(lits)
-        if norm is None:
-            return
-        if not norm:
+    def add(self, lits: List[int], weight: int = 1, num_vars: Optional[int] = None) -> None:
+        """Check one clause row, a list of literals, and append it,
+        normalized. Its variables must lie in [1, num_vars], or in
+        [1, MAX_VARS] when num_vars is None (no count declared). A row with
+        an error raises a ParseError, without a line number, and changes
+        nothing."""
+        variables = set(map(abs, lits))
+        if 0 in variables:
+            raise ParseError("terminator", "unexpected 0 before end of clause line")
+        top = max(variables) if variables else 0
+        limit = MAX_VARS if num_vars is None else num_vars
+        if top > limit:
+            var = next(v for v in map(abs, lits) if v > limit)
+            bound = limit if num_vars is None else f"declared count {limit}"
+            raise ParseError("var-range", f"variable {var} exceeds {bound}")
+        if self.weights is not None:
+            if weight < 1:
+                raise ParseError("soft-weight", f"soft clause weight must be positive, got {weight}")
+            if self.total + weight > MAX_TOTAL_SOFT_WEIGHT:
+                raise ParseError("overflow", "total soft weight exceeds 63 bits")
+            self.total += weight
+        if top > self.max_var:
+            self.max_var = top
+        if len(variables) < len(lits):
+            lits = _normalize(lits)
+            if lits is None:
+                self.dropped += weight
+                return
+        if not lits:
             self.empty += weight
             return
-        if self.weights is not None:
-            if weight > MAX_TOTAL_SOFT_WEIGHT:
-                raise ValueError("total soft weight exceeds 63 bits")
-            self.weights.append(weight)
-        self.lits.extend(norm)
+        self.lits.fromlist(lits)
         self.off.append(len(self.lits))
+        if self.weights is not None:
+            self.weights.append(weight)
 
     def __len__(self) -> int:
         return len(self.off) - 1
@@ -119,9 +145,11 @@ class Formula:
     """Immutable WPMS instance.
 
     hard is an iterable of literal sequences, soft one of (weight, literals)
-    pairs; either may also be a Clauses of that kind, which is taken over
-    as it is (the parser builds them). Construction normalizes clauses (see
-    Clauses): a dropped soft clause does not count towards
+    pairs; each row is checked and normalized by Clauses.add, with the same
+    ParseError kinds as the parser's (without line numbers). Either may also
+    be a Clauses of that kind, which is taken over as it is (the parser
+    builds them): its rows were checked when added, so only its max_var is
+    compared with num_vars. A dropped soft clause does not count towards
     total_soft_weight, an empty hard clause marks the whole instance
     infeasible, and an empty soft clause contributes its weight to every
     assignment's obj via a constant offset (soft_base).
@@ -145,38 +173,25 @@ class Formula:
     ):
         if not 0 <= num_vars <= MAX_VARS:
             raise ValueError(f"num_vars must be in [0, {MAX_VARS}]")
-        self.num_vars = num_vars
-        if isinstance(hard, Clauses):
-            self._check_range(hard.lits)
-        else:
+        if not isinstance(hard, Clauses):
             rows, hard = hard, Clauses()
             for lits in rows:
-                self._check_range(lits)
-                hard.add(lits)
-        if isinstance(soft, Clauses):
-            self._check_range(soft.lits)
-        else:
+                hard.add(list(lits), 1, num_vars)
+        if not isinstance(soft, Clauses):
             rows, soft = soft, Clauses(weighted=True)
             for weight, lits in rows:
-                if weight < 1:
-                    raise ValueError("soft weight must be >= 1")
-                self._check_range(lits)
-                soft.add(lits, weight)
-
-        total = soft.empty + sum(soft.weights)
-        if total > MAX_TOTAL_SOFT_WEIGHT:
-            raise ValueError("total soft weight exceeds 63 bits")
+                soft.add(list(lits), weight, num_vars)
+        # The C kernel indexes its values by variable.
+        top = max(hard.max_var, soft.max_var)
+        if top > num_vars:
+            raise ParseError("var-range", f"variable {top} exceeds declared count {num_vars}")
+        self.num_vars = num_vars
         self.hard = hard
         self.soft = soft
         self.soft_weights = soft.weights
-        self.total_soft_weight = total
+        self.total_soft_weight = soft.total - soft.dropped
         self.soft_base = soft.empty
         self.has_empty_hard = hard.empty > 0
-
-    def _check_range(self, lits: Sequence[int]) -> None:
-        if lits and (0 in lits or max(lits) > self.num_vars or -min(lits) > self.num_vars):
-            lit = next(lit for lit in lits if lit == 0 or abs(lit) > self.num_vars)
-            raise ValueError(f"literal {lit} out of range [1, {self.num_vars}]")
 
     # Occurrence lists of the Python search body, built on first use.
     @property
@@ -242,34 +257,35 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _parse_int(token: str, kind: str, msg: str, line_no: int) -> int:
+def _parse_int(token: str, kind: str, msg: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(kind, f"{msg}: {token!r}", line_no) from None
+        raise ParseError(kind, f"{msg}: {token!r}") from None
 
 
-def _header(tokens: List[str], line: str, line_no: int) -> Tuple[int, int]:
+def _header(tokens: List[str], line: str) -> Tuple[int, int]:
     """(num_vars, top) of a "p wcnf" line."""
     if len(tokens) != 5 or tokens[1] != "wcnf":
-        raise ParseError("header", f"malformed header: {line.strip()!r}", line_no)
-    num_vars = _parse_int(tokens[2], "header", "invalid variable count", line_no)
-    _parse_int(tokens[3], "header", "invalid clause count", line_no)
-    top = _parse_int(tokens[4], "header", "invalid top weight", line_no)
+        raise ParseError("header", f"malformed header: {line.strip()!r}")
+    num_vars = _parse_int(tokens[2], "header", "invalid variable count")
+    _parse_int(tokens[3], "header", "invalid clause count")
+    top = _parse_int(tokens[4], "header", "invalid top weight")
     if num_vars < 0 or top < 1:
-        raise ParseError("header", "header values out of range", line_no)
+        raise ParseError("header", "header values out of range")
     if num_vars > MAX_VARS:
-        raise ParseError("header", f"variable count {num_vars} exceeds {MAX_VARS}", line_no)
+        raise ParseError("header", f"variable count {num_vars} exceeds {MAX_VARS}")
     return num_vars, top
 
 
-def _literal_error(tokens: List[str], line_no: int) -> ParseError:
-    """The error of a clause line's first literal token that is not a nonzero
-    int: raised if it is no int, returned if it is a 0."""
+def _literal_error(tokens: List[str]) -> ParseError:
+    """The error of a clause line with a literal token that is no int: that
+    token's (raised), or, when a 0 comes before it, the interior-0 error
+    that Clauses.add gives such a row (returned)."""
     for tok in tokens[1:-1]:
-        if _parse_int(tok, "clause", "invalid literal", line_no) == 0:
+        if _parse_int(tok, "clause", "invalid literal") == 0:
             break
-    return ParseError("terminator", "unexpected 0 before end of clause line", line_no)
+    return ParseError("terminator", "unexpected 0 before end of clause line")
 
 
 def parse_wcnf(source) -> Formula:
@@ -281,72 +297,48 @@ def parse_wcnf(source) -> Formula:
     "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft, num_vars being
     the largest variable mentioned. Comment lines start with "c". Lines end
     at any break that str.splitlines() knows. The format is auto-detected
-    from the first significant line. A variable above MAX_VARS is an error.
-    Each error is a ParseError with the number of its line.
+    from the first significant line. The parser reads tokens and the
+    header; Clauses.add checks each row. Each error is a ParseError with the
+    number of its line.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     hard, soft = Clauses(), Clauses(weighted=True)
-    hard_lits, hard_off = hard.lits, hard.off
-    soft_lits, soft_off, soft_weights = soft.lits, soft.off, soft.weights
-    classic = None  # set by the first significant line
-    num_vars = top = total = 0
-    for line_no, line in enumerate(_lines(source), 1):
-        tokens = line.split()
-        if not tokens or tokens[0][0] == "c":
-            continue
-        head = tokens[0]
-        if classic is None:
-            classic = head[0] == "p"
-            if classic:
-                if head != "p":
-                    raise ParseError("header", "clause before 'p wcnf' header", line_no)
-                num_vars, top = _header(tokens, line, line_no)
+    classic = declared = None  # set by the first significant line
+    top = 0
+    try:
+        for line_no, line in enumerate(_lines(source), 1):
+            tokens = line.split()
+            if not tokens or tokens[0][0] == "c":
                 continue
-        if classic or head != "h":
+            head = tokens[0]
+            if classic is None:
+                classic = head[0] == "p"
+                if classic:
+                    if head != "p":
+                        raise ParseError("header", "clause before 'p wcnf' header")
+                    declared, top = _header(tokens, line)
+                    continue
+            if classic or head != "h":
+                try:
+                    weight = int(head)
+                except ValueError:
+                    if classic and head == "p":
+                        raise ParseError("header", "duplicate problem header") from None
+                    raise ParseError("clause", f"invalid clause weight: {head!r}") from None
+            if len(tokens) < 2 or tokens[-1] != "0":
+                raise ParseError("terminator", "clause line missing terminating 0")
             try:
-                weight = int(head)
+                lits = list(map(int, tokens[1:-1]))
             except ValueError:
-                if classic and head == "p":
-                    raise ParseError("header", "duplicate problem header", line_no) from None
-                raise ParseError("clause", f"invalid clause weight: {head!r}", line_no) from None
-        if len(tokens) < 2 or tokens[-1] != "0":
-            raise ParseError("terminator", "clause line missing terminating 0", line_no)
-        try:
-            lits = list(map(int, tokens[1:-1]))
-        except ValueError:
-            raise _literal_error(tokens, line_no) from None
-        # One set finds an interior 0, a repeated variable and the largest one.
-        variables = set(map(abs, lits))
-        if 0 in variables:
-            raise _literal_error(tokens, line_no)
-        if variables and max(variables) > num_vars:
-            if classic or max(variables) > MAX_VARS:
-                limit = num_vars if classic else MAX_VARS
-                var = next(v for v in map(abs, lits) if v > limit)
-                bound = f"declared count {limit}" if classic else limit
-                raise ParseError("var-range", f"variable {var} exceeds {bound}", line_no)
-            num_vars = max(variables)
-        # Rows with no repeated variable go straight in; Clauses.add normalizes the rest.
-        if weight >= top if classic else head == "h":
-            if lits and len(variables) == len(lits):
-                hard_lits.fromlist(lits)
-                hard_off.append(len(hard_lits))
+                raise _literal_error(tokens) from None
+            if weight >= top if classic else head == "h":
+                hard.add(lits, 1, declared)
             else:
-                hard.add(lits)
-            continue
-        if weight < 1:
-            raise ParseError("soft-weight",
-                             f"soft clause weight must be positive, got {weight}", line_no)
-        total += weight
-        if total > MAX_TOTAL_SOFT_WEIGHT:
-            raise ParseError("overflow", "total soft weight exceeds 63 bits", line_no)
-        if lits and len(variables) == len(lits):
-            soft_lits.fromlist(lits)
-            soft_off.append(len(soft_lits))
-            soft_weights.append(weight)
-        else:
-            soft.add(lits, weight)
+                soft.add(lits, weight, declared)
+    except ParseError as exc:
+        raise ParseError(exc.kind, str(exc), line_no) from None
+    num_vars = declared if classic else max(hard.max_var, soft.max_var)
     return Formula(num_vars, hard, soft)
 
 

@@ -153,6 +153,8 @@ PARSE_ERRORS = [
     ("1 1 0\n0 1\n", "terminator", 2, "clause line missing terminating 0"),
     ("h 99999999999 0\n", "var-range", 1, "variable 99999999999 exceeds 2147483646"),
     ("c x\n1 -2147483647 0\n", "var-range", 2, "variable 2147483647 exceeds 2147483646"),
+    ("p wcnf 2147483646 1 5\n5 2147483647 0\n", "var-range", 2,
+     "variable 2147483647 exceeds declared count 2147483646"),
     ("p wcnf 1 x 5\n1 1 0\n", "header", 1, "invalid clause count: 'x'"),
     ("p wcnf 99999999999 1 5\n1 1 0\n", "header", 1,
      "variable count 99999999999 exceeds 2147483646"),
@@ -178,6 +180,59 @@ def test_parse_error_line_past_the_first_chunk(monkeypatch, text, kind, line_no,
     line_no += len(prefix)
     assert (exc.value.kind, exc.value.line_no, str(exc.value)) == \
         (kind, line_no, f"line {line_no}: {message}")
+
+
+# (num_vars, hard, soft, kind): rows that Formula, built from the lists,
+# rejects with the kind and message that the parser gives for the same rows.
+ROW_ERRORS = [
+    (2, [[1, 0, 2]], [], "terminator"),
+    (2, [], [(3, [0])], "terminator"),
+    (2, [[1, -3]], [], "var-range"),
+    (2, [], [(3, [3, 3])], "var-range"),
+    (2, [], [(0, [1])], "soft-weight"),
+    (1, [], [(2**63 - 2, [1]), (2, [-1])], "overflow"),
+    # The weight of a dropped tautology counts towards the 63-bit total.
+    (1, [[1]], [(2**63 - 5, [1, -1]), (10, [1])], "overflow"),
+    (1, [], [(1 << 64, [1, -1])], "overflow"),
+]
+
+
+@pytest.mark.parametrize("n, hard, soft, kind", ROW_ERRORS)
+def test_formula_rejects_rows_as_the_parser_does(n, hard, soft, kind):
+    with pytest.raises(ValueError) as built:
+        Formula(n, hard, soft)
+    assert isinstance(built.value, ParseError)
+    assert (built.value.kind, built.value.line_no) == (kind, None)
+    # The headerless format declares no variable count to exceed.
+    for render in [render_old] if kind == "var-range" else [render_old, render_new]:
+        with pytest.raises(ParseError) as parsed:
+            parse_wcnf(render(n, hard, soft))
+        assert parsed.value.kind == kind
+        assert str(parsed.value) == f"line {parsed.value.line_no}: {built.value}"
+
+
+class Unreadable:
+    """Stands in for the arrays of a Clauses: any read fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("read")
+
+    __iter__ = __len__ = __contains__ = __getitem__ = __getattr__ = _fail
+
+
+def test_formula_takes_clauses_without_reading_their_rows():
+    hard, soft = Clauses(), Clauses(weighted=True)
+    hard.add([1, -2])
+    soft.add([2], 3)
+    soft.add([1, -1], 4)
+    soft.add([], 5)
+    hard.lits = soft.lits = soft.weights = Unreadable()
+    f = Formula(2, hard, soft)
+    assert (f.total_soft_weight, f.soft_base, f.has_empty_hard) == (8, 5, False)
+    # The kernel indexes its values by variable: a larger one is still caught.
+    with pytest.raises(ValueError) as exc:
+        Formula(1, hard, soft)
+    assert (exc.value.kind, str(exc.value)) == ("var-range", "variable 2 exceeds declared count 1")
 
 
 def test_variable_counts_are_checked_before_any_allocation():
@@ -210,14 +265,25 @@ EOLS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"
 
 @st.composite
 def wcnf_texts(draw):
-    """(text, expected Formula): random clause lists, empty clauses and
+    """(text, num_vars, hard, soft): random clause lists, empty clauses and
     repeated variables included, written in either format, with comments,
-    blank lines, tabs and the line breaks of str.splitlines() mixed in."""
+    blank lines, tabs and the line breaks of str.splitlines() mixed in.
+    Some cases hold weights of 0, some weights near 2^63, some a
+    classic-format literal above num_vars; never two of these, so that the
+    first error is of the same kind whether the rows are read in text order
+    or hard ones first."""
+    fault = draw(st.sampled_from(["", "", "zero", "big", "range"]))
+    weights = st.integers(0 if fault == "zero" else 1, 50)
+    if fault == "big":
+        weights = st.one_of(weights, st.integers(2**63 - 64, 2**63 + 8))
     hard = draw(st.lists(CLAUSE, max_size=8))
-    soft = draw(st.lists(st.tuples(st.integers(1, 50), CLAUSE), max_size=8))
-    classic = draw(st.booleans())
+    soft = draw(st.lists(st.tuples(weights, CLAUSE), max_size=8))
+    classic = fault == "range" or draw(st.booleans())
     used = max((abs(lit) for lits in hard + [c for _, c in soft] for lit in lits), default=0)
-    n = used + draw(st.integers(0, 3)) if classic else used
+    if fault == "range":
+        n = max(used - draw(st.integers(1, 3)), 0)
+    else:
+        n = used + draw(st.integers(0, 3)) if classic else used
     top = sum(w for w, _ in soft) + 1
     rows = [[str(top) if classic else "h", *map(str, lits), "0"] for lits in hard]
     soft_rows = iter([[str(w), *map(str, lits), "0"] for w, lits in soft])
@@ -239,7 +305,7 @@ def wcnf_texts(draw):
     text = "".join(line + eol for line, eol in zip(lines, eols))
     if text and draw(st.booleans()):
         text = text[:-len(eols[-1])]  # no line break after the last line
-    return text, Formula(n, hard, soft)
+    return text, n, hard, soft
 
 
 def formula_fields(f: Formula):
@@ -247,11 +313,20 @@ def formula_fields(f: Formula):
             f.total_soft_weight)
 
 
+def outcome(build):
+    """The fields of the Formula that build() returns, or the kind of the
+    ValueError it raises."""
+    try:
+        return formula_fields(build())
+    except ValueError as exc:
+        return getattr(exc, "kind", repr(exc))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wcnf_texts())
 def test_parser_reads_what_formula_builds_from_the_lists(case):
-    text, expected = case
-    assert formula_fields(parse_wcnf(text)) == formula_fields(expected)
+    text, n, hard, soft = case
+    assert outcome(lambda: parse_wcnf(text)) == outcome(lambda: Formula(n, hard, soft))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
