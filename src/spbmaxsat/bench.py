@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -206,6 +205,10 @@ def run_benchmark(
             jobs.append((path, label, job_cfg))
 
     if parallelism > 1 and len(jobs) > 1:
+        # Only here: importing multiprocessing costs every solve and one-job
+        # bench process about 25 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             records = list(pool.map(_run_one, jobs))
     else:

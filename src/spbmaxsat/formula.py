@@ -297,10 +297,20 @@ def parse_wcnf(source) -> Formula:
     "h <lit>... 0" for hard, "<weight> <lit>... 0" for soft, num_vars being
     the largest variable mentioned. Comment lines start with "c". Lines end
     at any break that str.splitlines() knows. The format is auto-detected
-    from the first significant line. The parser reads tokens and the
-    header; Clauses.add checks each row. Each error is a ParseError with the
+    from the first significant line. Each error is a ParseError with the
     number of its line.
+
+    The C kernel parses the text when it loads (kernel.parse), to the same
+    Formula. It declines on any error and on text that it does not read as
+    Python does, and then this function parses it in Python: it reads
+    tokens and the header, and Clauses.add checks each row.
     """
+    from . import kernel  # kernel imports this module
+
+    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+    parsed = kernel.parse(data)
+    if parsed is not None:
+        return Formula(*parsed)
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     hard, soft = Clauses(), Clauses(weighted=True)
@@ -343,6 +353,6 @@ def parse_wcnf(source) -> Formula:
 
 
 def load_wcnf(path) -> Formula:
-    """Parse the WCNF file at path, read as UTF-8 text."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse the WCNF file at path, UTF-8 text."""
+    with open(path, "rb") as fh:
         return parse_wcnf(fh.read())

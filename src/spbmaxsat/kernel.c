@@ -1,5 +1,5 @@
-/* Search kernel: the start state and the flip, pick and weighting steps of
- * search.solve in C.
+/* Search kernel: the WCNF parser, the start state and the flip, pick and
+ * weighting steps of search.solve in C.
  *
  * A straight port of decimation_init and random_init, SearchState's build,
  * state.flip (with refresh_candidacy and the IndexSet add/discard),
@@ -20,6 +20,7 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <time.h>
 
 #define EPS 1e-9
@@ -569,4 +570,243 @@ int64_t kn_advance(kstate *s, int64_t n)
             return i + 1;
     }
     return n;
+}
+
+/* --- WCNF parsing ---------------------------------------------------------
+ *
+ * kn_parse is formula.parse_wcnf on UTF-8 bytes: it writes each clause kind
+ * into the arrays of a formula.Clauses, with the rows, counts and checks of
+ * the Python parser and Clauses.add. It declines (returns 1) wherever it
+ * would have to tell errors apart or read text as Python does: on any
+ * error, on a byte >= 0x80 or one of \v \f \x1c-\x1f (line breaks or
+ * whitespace only to Python), on a number token that is not [-]digits
+ * (int() also reads "+1" and "1_0") or is above 2^64 - 1, on a kind with
+ * more than INT32_MAX literals, and when out of memory. parse_wcnf then
+ * parses the text in Python, which reports the error. Lines end at \n or \r (so at \r\n too), and tokens
+ * are separated by spaces and tabs.
+ *
+ * Two passes over the same bytes. The count pass (fill 0) checks the text
+ * and counts each kind's rows and literals, for kernel.py to allocate the
+ * arrays; the fill pass (fill 1) writes the rows into them, normalized,
+ * and leaves the counts stored, which can be smaller. Nothing is allocated
+ * per variable.
+ */
+
+#define MAX_VARS 2147483646
+
+/* One clause kind: the arrays and the fields of a formula.Clauses. */
+typedef struct {
+    int32_t *lits, *off;
+    int64_t *weights; /* the soft kind only */
+    int64_t num_lits, num_clauses, empty, dropped, total, max_var;
+} pkind;
+
+typedef struct {
+    pkind hard, soft;
+    int64_t num_vars;
+} parsed;
+
+/* Byte classes; the parser declines on a DECLINE byte wherever it is. */
+enum { OTHER, DIGIT, BLANK, EOL, DECLINE };
+static const uint8_t CLASS[256] = {
+    ['0' ... '9'] = DIGIT, [' '] = BLANK, ['\t'] = BLANK, ['\n'] = EOL, ['\r'] = EOL,
+    ['\v'] = DECLINE, ['\f'] = DECLINE, [0x1c ... 0x1f] = DECLINE, [0x80 ... 0xff] = DECLINE,
+};
+
+/* The class of the byte at p; the end of the text ends a line. */
+static inline int cls(const uint8_t *p, const uint8_t *end)
+{
+    return p < end ? CLASS[*p] : EOL;
+}
+
+static inline int token_end(const uint8_t *p, const uint8_t *end)
+{
+    int c = cls(p, end);
+    return c == BLANK || c == EOL;
+}
+
+static inline const uint8_t *skip_blanks(const uint8_t *p, const uint8_t *end)
+{
+    while (p < end && CLASS[*p] == BLANK)
+        p++;
+    return p;
+}
+
+/* An unsigned number token at *pp, at most 2^64 - 1, into *x; 0 if there is
+ * none. */
+static int read_number(const uint8_t **pp, const uint8_t *end, uint64_t *x)
+{
+    const uint8_t *p = *pp;
+    if (cls(p, end) != DIGIT)
+        return 0;
+    for (*x = 0; cls(p, end) == DIGIT; p++)
+        if (__builtin_mul_overflow(*x, 10, x) || __builtin_add_overflow(*x, *p - '0', x))
+            return 0;
+    *pp = p;
+    return token_end(p, end);
+}
+
+/* The "p wcnf <num_vars> <clauses> <top>" line at *pp, checked as
+ * formula._header does. */
+static int read_header(const uint8_t **pp, const uint8_t *end, uint64_t *num_vars, uint64_t *top)
+{
+    const uint8_t *p = *pp + 1;
+    uint64_t clauses;
+    if (cls(p, end) != BLANK)
+        return 0;
+    p = skip_blanks(p, end);
+    if (end - p < 5 || memcmp(p, "wcnf", 4) || CLASS[p[4]] != BLANK)
+        return 0;
+    p = skip_blanks(p + 4, end);
+    if (!read_number(&p, end, num_vars) || *num_vars > MAX_VARS)
+        return 0;
+    p = skip_blanks(p, end);
+    p += p < end && *p == '-'; /* int() takes any clause count */
+    if (!read_number(&p, end, &clauses))
+        return 0;
+    p = skip_blanks(p, end);
+    if (!read_number(&p, end, top) || *top < 1)
+        return 0;
+    *pp = p = skip_blanks(p, end);
+    return cls(p, end) == EOL;
+}
+
+/* formula._normalize of a row with two or more literals, in place: repeated
+ * literals are dropped and first occurrences kept in order, as
+ * dict.fromkeys does. Returns the new length, 0 for a tautology (a variable
+ * of both signs), -1 when out of memory. Short rows are compared pairwise,
+ * longer ones go through a hash table of their variables. */
+static int64_t normalize(int32_t *lits, int64_t n)
+{
+    int64_t kept = 0;
+    if (n <= 16) {
+        for (int64_t i = 0; i < n; i++) {
+            int64_t j = 0;
+            while (j < kept && abs(lits[j]) != abs(lits[i]))
+                j++;
+            if (j == kept)
+                lits[kept++] = lits[i];
+            else if (lits[j] != lits[i])
+                return 0;
+        }
+        return kept;
+    }
+    int bits = 65 - __builtin_clzll((uint64_t)n); /* 2^bits >= 2n */
+    uint64_t mask = ((uint64_t)1 << bits) - 1;
+    int32_t *seen = calloc(mask + 1, sizeof *seen);
+    if (!seen)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t lit = lits[i];
+        uint64_t h = ((uint64_t)abs(lit) * 0x9e3779b97f4a7c15u) >> (64 - bits);
+        while (seen[h] && abs(seen[h]) != abs(lit))
+            h = (h + 1) & mask;
+        if (!seen[h]) {
+            seen[h] = lit;
+            lits[kept++] = lit;
+        } else if (seen[h] != lit) {
+            kept = 0;
+            break;
+        }
+    }
+    free(seen);
+    return kept;
+}
+
+/* One pass of the parser over text[0:n]: see above. Returns 0 when the
+ * text is parsed, 1 when the parser declines. */
+int64_t kn_parse(const uint8_t *text, int64_t n, int64_t fill, parsed *out)
+{
+    const uint8_t *p = text, *end = text + n;
+    int classic = -1; /* set by the first significant line */
+    uint64_t limit = MAX_VARS, top = 0;
+    pkind *kinds[2] = {&out->hard, &out->soft};
+    for (int i = 0; i < 2; i++) {
+        pkind *k = kinds[i];
+        k->num_lits = k->num_clauses = k->empty = k->dropped = k->total = k->max_var = 0;
+    }
+    while ((p = skip_blanks(p, end)) < end) {
+        if (CLASS[*p] == EOL) {
+            p++;
+            continue;
+        }
+        if (*p == 'c') { /* a comment line */
+            for (; p < end && CLASS[*p] != EOL; p++)
+                if (CLASS[*p] == DECLINE)
+                    return 1;
+            continue;
+        }
+        if (classic < 0 && (classic = *p == 'p')) {
+            if (!read_header(&p, end, &limit, &top))
+                return 1;
+            out->num_vars = (int64_t)limit;
+            continue;
+        }
+        uint64_t weight = 1;
+        int hard = !classic && *p == 'h' && token_end(p + 1, end);
+        if (hard)
+            p++;
+        else if (!read_number(&p, end, &weight))
+            return 1;
+        else
+            hard = classic && weight >= top;
+        pkind *k = kinds[!hard];
+        if (!hard) {
+            if (weight < 1 || weight > (uint64_t)(INT64_MAX - k->total))
+                return 1;
+            k->total += (int64_t)weight;
+        }
+        int64_t start = k->num_lits;
+        for (;;) {
+            const uint8_t *tok = p = skip_blanks(p, end);
+            int neg = p < end && *p == '-';
+            uint64_t var = 0;
+            p += neg;
+            if (cls(p, end) != DIGIT)
+                return 1;
+            do {
+                var = var * 10 + (uint64_t)(*p - '0');
+                if (var > limit)
+                    return 1;
+            } while (cls(++p, end) == DIGIT);
+            if (!token_end(p, end))
+                return 1;
+            if (!var) { /* must be the terminating "0" */
+                if (p - tok != 1 || cls(skip_blanks(p, end), end) != EOL)
+                    return 1;
+                break;
+            }
+            if (fill)
+                k->lits[k->num_lits] = neg ? -(int32_t)var : (int32_t)var;
+            k->num_lits++;
+            if ((int64_t)var > k->max_var)
+                k->max_var = (int64_t)var;
+        }
+        int64_t w = hard ? 1 : (int64_t)weight, len = k->num_lits - start;
+        if (fill && len > 1) {
+            if ((len = normalize(k->lits + start, len)) < 0)
+                return 1;
+            k->num_lits = start + len;
+            if (!len) {
+                k->dropped += w;
+                continue;
+            }
+        }
+        if (!len) {
+            k->empty += w;
+            continue;
+        }
+        if (fill) {
+            k->off[k->num_clauses + 1] = (int32_t)k->num_lits;
+            if (!hard)
+                k->weights[k->num_clauses] = w;
+        }
+        k->num_clauses++;
+    }
+    if (out->hard.num_lits > INT32_MAX || out->soft.num_lits > INT32_MAX)
+        return 1;
+    if (classic != 1)
+        out->num_vars = out->hard.max_var > out->soft.max_var ? out->hard.max_var
+                                                              : out->soft.max_var;
+    return 0;
 }

@@ -1,4 +1,5 @@
-"""The C search kernel (kernel.c): build, load and start a search in it.
+"""The C kernel (kernel.c): build and load it, parse WCNF and start a
+search in it.
 
 load() compiles kernel.c once with $CC (default cc) into this package's
 __pycache__, named by a checksum of the source and the flags, and loads it
@@ -8,7 +9,9 @@ when anything fails (no compiler, an unwritable cache directory, a library
 that does not match this file's struct layout), and solve then runs its
 Python body.
 
-start() hands the kernel the formula's own clause arrays and the RNG state;
+parse() reads WCNF bytes into the arrays of two Clauses, or declines and
+leaves the text to the Python parser. start() hands the kernel the
+formula's own clause arrays and the RNG state;
 the kernel builds the initial assignment and the search state from them.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
 and layer_split() times its parts.
@@ -28,7 +31,7 @@ from array import array
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .formula import INF, Formula
+from .formula import INF, Clauses, Formula
 from .weighting import mode_deltas
 
 SOURCE = Path(__file__).with_name("kernel.c")
@@ -61,6 +64,18 @@ class _State(ctypes.Structure):
                 ("step", _I), ("current_obj", _I), ("has_bound", _I), ("bound", _I),
                 ("max_hard_weight", _D), ("spb_weight", _D), ("optimum", _I),
                 ("profile", _I), ("part_calls", _I * len(PARTS)), ("part_ns", _I * len(PARTS))]
+
+
+class _ParsedKind(ctypes.Structure):
+    """pkind of kernel.c: the arrays and the fields of a Clauses."""
+
+    _fields_ = [("lits", _P), ("off", _P), ("weights", _P), ("num_lits", _I),
+                ("num_clauses", _I), ("empty", _I), ("dropped", _I), ("total", _I),
+                ("max_var", _I)]
+
+
+class _Parsed(ctypes.Structure):
+    _fields_ = [("hard", _ParsedKind), ("soft", _ParsedKind), ("num_vars", _I)]
 
 
 def library_path() -> Path:
@@ -119,6 +134,8 @@ def load() -> Optional[ctypes.CDLL]:
     lib.kn_setup.restype = None
     lib.kn_advance.argtypes = [ctypes.POINTER(_State), _I]
     lib.kn_advance.restype = _I
+    lib.kn_parse.argtypes = [ctypes.c_char_p, _I, _I, ctypes.POINTER(_Parsed)]
+    lib.kn_parse.restype = _I
     if lib.kn_state_size() != ctypes.sizeof(_State):
         return None
     return lib
@@ -126,6 +143,32 @@ def load() -> Optional[ctypes.CDLL]:
 
 def _zeros(code: str, n: int) -> array:
     return array(code, [0]) * n
+
+
+def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
+    """The num_vars, hard and soft Clauses that formula.parse_wcnf builds
+    from the WCNF text data, read by kernel.c's kn_parse; None when the
+    kernel did not load or kn_parse declines (on any error, for one)."""
+    lib = load()
+    out = _Parsed()
+    if lib is None or lib.kn_parse(data, len(data), 0, out):  # checks and counts
+        return None
+    hard, soft = Clauses(), Clauses(weighted=True)
+    pairs = ((hard, out.hard), (soft, out.soft))
+    for c, k in pairs:
+        c.lits, c.off = _zeros("i", k.num_lits), _zeros("i", k.num_clauses + 1)
+        k.lits, k.off = c.lits.buffer_info()[0], c.off.buffer_info()[0]
+        if c.weights is not None:
+            c.weights = _zeros("q", k.num_clauses)
+            k.weights = c.weights.buffer_info()[0]
+    if lib.kn_parse(data, len(data), 1, out):  # out of memory
+        return None
+    for c, k in pairs:  # normalizing may have stored less than counted
+        del c.lits[k.num_lits:], c.off[k.num_clauses + 1:]
+        if c.weights is not None:
+            del c.weights[k.num_clauses:]
+        c.empty, c.dropped, c.total, c.max_var = k.empty, k.dropped, k.total, k.max_var
+    return out.num_vars, hard, soft
 
 
 class Walk:

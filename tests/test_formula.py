@@ -151,6 +151,8 @@ PARSE_ERRORS = [
     ("p wcnf 2 1 5\n0 3 0\n", "var-range", 2, "variable 3 exceeds declared count 2"),
     ("x 1\n", "clause", 1, "invalid clause weight: 'x'"),
     ("1 1 0\n0 1\n", "terminator", 2, "clause line missing terminating 0"),
+    ("h 1 00\n", "terminator", 1, "clause line missing terminating 0"),
+    ("c x\n3 -1 -0 \n", "terminator", 2, "clause line missing terminating 0"),
     ("h 99999999999 0\n", "var-range", 1, "variable 99999999999 exceeds 2147483646"),
     ("c x\n1 -2147483647 0\n", "var-range", 2, "variable 2147483647 exceeds 2147483646"),
     ("p wcnf 2147483646 1 5\n5 2147483647 0\n", "var-range", 2,
@@ -158,6 +160,7 @@ PARSE_ERRORS = [
     ("p wcnf 1 x 5\n1 1 0\n", "header", 1, "invalid clause count: 'x'"),
     ("p wcnf 99999999999 1 5\n1 1 0\n", "header", 1,
      "variable count 99999999999 exceeds 2147483646"),
+    ("p wcnf 2147483647 1 5\n", "header", 1, "variable count 2147483647 exceeds 2147483646"),
 ]
 
 
@@ -173,6 +176,7 @@ def test_parse_error_kind_line_and_message(text, kind, line_no, message):
 @pytest.mark.parametrize("text, kind, line_no, message", PARSE_ERRORS)
 def test_parse_error_line_past_the_first_chunk(monkeypatch, text, kind, line_no, message, eol):
     # Comment and blank lines first, so that the error lies many chunks in.
+    monkeypatch.setattr(kernel, "load", lambda: None)  # the Python parser's chunks
     monkeypatch.setattr(formula, "_CHUNK", 64)
     prefix = ["c a comment line", "", " \t"] * 100
     with pytest.raises(ParseError) as exc:
@@ -357,6 +361,7 @@ def test_parser_reads_many_chunks(monkeypatch):
                                  max_clauses=400)
     text = render_new(n, hard, soft)
     expected = formula_fields(parse_wcnf(text))
+    monkeypatch.setattr(kernel, "load", lambda: None)  # the Python parser's chunks
     monkeypatch.setattr(formula, "_CHUNK", 64)
     assert formula_fields(parse_wcnf(text)) == expected
     assert formula_fields(parse_wcnf(text.replace("h", "c x\nh", 9))) == expected
@@ -365,6 +370,7 @@ def test_parser_reads_many_chunks(monkeypatch):
 
 def test_one_repeated_variable_is_normalized_alone(monkeypatch):
     # The row is handed to Clauses.add as it is read; the text is not read twice.
+    monkeypatch.setattr(kernel, "load", lambda: None)  # the Python parser
     rng = random.Random(5)
     n, hard, soft = random_parts(rng, min_vars=50, max_vars=50, min_clauses=400,
                                  max_clauses=400)

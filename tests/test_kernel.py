@@ -4,9 +4,10 @@ The differential tests start both backends from one formula and seed (the
 kernel builds its own start state, Python runs decimation_init or
 random_init and builds a SearchState), compare every field of the state
 and the Mersenne Twister state, then advance both by the same random chunk
-sizes, the way solve does, comparing again after each chunk. The CLI tests
-run `solve` on a private copy of the package, so that they control its
-build cache.
+sizes, the way solve does, comparing again after each chunk. The parser tests
+compare kernel.parse with the Python parser on the texts that
+test_formula.py draws. The CLI tests run `solve` on a private copy of the
+package, so that they control its build cache.
 """
 from __future__ import annotations
 
@@ -17,17 +18,20 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Optional
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from spbmaxsat import kernel, search
-from spbmaxsat.formula import Formula, parse_wcnf
+from spbmaxsat.formula import Clauses, Formula, ParseError, load_wcnf, parse_wcnf
 from spbmaxsat.initialization import decimation_init, random_init
 from spbmaxsat.search import INITS, SolverConfig, _PythonWalk, solve
 from spbmaxsat.state import SearchState
 from spbmaxsat.weighting import MODES
 
-from gen import random_parts, render_old
+from gen import random_parts, render_new, render_old
+from test_formula import EOLS, PARSE_ERRORS, ROW_ERRORS, wcnf_texts
 
 PACKAGE = Path(kernel.__file__).parent
 
@@ -173,6 +177,107 @@ def test_layer_split_counts_every_part_of_an_unchanged_run(lib):
     assert calls["flip"] == calls["bms_pick"] + calls["pick_from_falsified"] == expected.flips
     assert calls["spb_weighting"] == calls["pick_from_falsified"] > 0
     assert all(split[part]["us_per_call"] > 0 for part in kernel.PARTS)
+
+
+# --- the C parser against the Python one ----------------------------------
+
+def parse_fields(f: Formula):
+    """Everything that parse_wcnf builds: num_vars and both Clauses' fields."""
+    return (f.num_vars, *((c.lits, c.off, c.weights, c.empty, c.dropped, c.total, c.max_var)
+                          for c in (f.hard, f.soft)))
+
+
+def python_parse(text: str):
+    """The Python parser's fields for text, or the kind of its ParseError."""
+    with mock.patch.object(kernel, "load", lambda: None):
+        try:
+            return parse_fields(parse_wcnf(text))
+        except ParseError as exc:
+            return exc.kind
+
+
+def c_parse(text: str):
+    """kernel.parse's fields for text, or None when it declines."""
+    parsed = kernel.parse(text.encode("utf-8", "surrogatepass"))
+    return None if parsed is None else parse_fields(Formula(*parsed))
+
+
+def c_reads(text: str) -> bool:
+    """Whether kn_parse reads every byte of text: ASCII, and no line break
+    or whitespace that only Python reads."""
+    return text.isascii() and not any(ch in text for ch in "\v\f\x1c\x1d\x1e\x1f")
+
+
+def made_c_readable(text: str) -> str:
+    """text with each line break that kn_parse does not read made "\n" and
+    each other character that it does not read (they are all in comments)
+    made "x"."""
+    return "".join(ch if c_reads(ch) else "\n" if ch in EOLS else "x" for ch in text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wcnf_texts())
+def test_c_parser_builds_what_the_python_parser_does(lib, case):
+    # It declines exactly on errors and on bytes that it does not read.
+    for text in (case[0], made_c_readable(case[0])):
+        expected = python_parse(text)
+        if isinstance(expected, str) or not c_reads(text):
+            assert c_parse(text) is None
+        else:
+            assert c_parse(text) == expected
+
+
+ERROR_TEXTS = [text for text, *_ in PARSE_ERRORS] + [
+    render(n, hard, soft) for n, hard, soft, kind in ROW_ERRORS
+    for render in ([render_old] if kind == "var-range" else [render_old, render_new])]
+
+
+@pytest.mark.parametrize("text", ERROR_TEXTS)
+def test_c_parser_declines_on_every_error(lib, text):
+    assert isinstance(python_parse(text), str)
+    assert c_parse(text) is None
+
+
+def long_row(tail):
+    return "h " + " ".join(map(str, [*range(1, 40), *tail])) + " 0\n"
+
+
+N, HARD, SOFT = random_parts(random.Random(7), **INSTANCES["weighted-200"])
+BIG = 2**63 - 1
+PLAIN_TEXTS = {
+    "classic": render_old(N, HARD, SOFT),
+    "headerless": render_new(N, HARD, SOFT),
+    "crlf": render_old(N, HARD, SOFT).replace("\n", "\r\n"),
+    "cr": render_new(N, HARD, SOFT).replace("\n", "\r"),
+    "tabs, comments, no final break": "c x\n\tc y 1 0\n\n h\t1 \t-2 0 \t\n3 2 0",
+    "repeated variables": "h 1 1 2 0\n3 2 -3 2 0\n4 -1 -1 0\n",
+    "tautologies": "p wcnf 3 3 9\n9 1 -1 0\n4 2 3 -2 0\n3 2 0\n",
+    "empty clauses": "h 0\n5 0\n1 1 0\n",
+    "long rows": long_row([5, 7, 39]) + long_row([-8]) + "2 -3 0\n",
+    "leading zeros": "p wcnf 003 2 010\n010 01 -002 0\n007 03 0\n",
+    "63-bit weights": f"{BIG} 1 0\nh -1 2 0\n",
+    "63-bit weights, classic": f"p wcnf 2 3 {BIG + 1}\n{BIG + 1} 1 0\n{BIG - 1} -1 0\n1 2 0\n",
+    "19-digit hard weight": f"p wcnf 1 1 5\n{BIG} 1 0\n",
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_TEXTS)
+def test_c_parser_reads_plain_text(lib, name):
+    text = PLAIN_TEXTS[name]
+    expected = python_parse(text)
+    assert not isinstance(expected, str)
+    assert c_parse(text) == expected
+
+
+def test_parse_wcnf_and_load_wcnf_use_the_c_parser(lib, tmp_path):
+    text = PLAIN_TEXTS["classic"]
+    path = tmp_path / "f.wcnf"
+    path.write_text(text)
+    expected = python_parse(text)
+    with mock.patch.object(Clauses, "add", side_effect=AssertionError("the Python parser ran")):
+        for source in (text, text.encode()):
+            assert parse_fields(parse_wcnf(source)) == expected
+        assert parse_fields(load_wcnf(path)) == expected
 
 
 # --- the build cache and the fallback, through the CLI ---------------------
