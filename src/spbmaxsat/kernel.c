@@ -6,8 +6,7 @@
  * search._best, bms_pick and pick_from_falsified, and
  * weighting.spb_weighting and decay_weights. Every array lives in a Python
  * array.array that kernel.py allocates and keeps alive; this file only
- * reads and writes through the pointers in struct kstate, whose layout
- * kernel.py mirrors field for field.
+ * reads and writes through the pointers in struct kstate.
  *
  * A run is flip for flip the Python one:
  *  - the same order: touched variables, set members and score sums follow
@@ -23,8 +22,11 @@
 #include <string.h>
 #include <time.h>
 
-#define EPS 1e-9
-#define DECAY_FACTOR 0.5
+/* The layout shared with Python is declared here only: kernel.py builds its
+ * ctypes classes from the PART_ enum and each typedef struct, comments
+ * stripped. It reads int64_t and double fields, any pointer (const and comma
+ * lists too), earlier typedefs by name and [PARTS] arrays, and raises on any
+ * other form. EPS, DECAY_FACTOR and MAX_VARS are -D options in its FLAGS. */
 
 /* The parts of solve's loop body that a profiled kn_advance times. */
 enum { PART_BMS_PICK, PART_PICK_FROM_FALSIFIED, PART_FLIP, PART_SPB_WEIGHTING, PARTS };
@@ -62,8 +64,6 @@ typedef struct {
     int64_t profile; /* nonzero: count and time the parts of kn_advance */
     int64_t part_calls[PARTS], part_ns[PARTS];
 } kstate;
-
-int64_t kn_state_size(void) { return (int64_t)sizeof(kstate); }
 
 /* CPython's genrand_uint32 and random_random (Modules/_randommodule.c). */
 #define MT_N 624
@@ -582,8 +582,8 @@ int64_t kn_advance(kstate *s, int64_t n)
  * whitespace only to Python), on a number token that is not [-]digits
  * (int() also reads "+1" and "1_0") or is above 2^64 - 1, on a kind with
  * more than INT32_MAX literals, and when out of memory. parse_wcnf then
- * parses the text in Python, which reports the error. Lines end at \n or \r (so at \r\n too), and tokens
- * are separated by spaces and tabs.
+ * parses the text in Python, which reports the error. Lines end at \n or
+ * \r (so at \r\n too), and tokens are separated by spaces and tabs.
  *
  * Two passes over the same bytes. The count pass (fill 0) checks the text
  * and counts each kind's rows and literals, for kernel.py to allocate the
@@ -591,8 +591,6 @@ int64_t kn_advance(kstate *s, int64_t n)
  * and leaves the counts stored, which can be smaller. Nothing is allocated
  * per variable.
  */
-
-#define MAX_VARS 2147483646
 
 /* One clause kind: the arrays and the fields of a formula.Clauses. */
 typedef struct {

@@ -1,13 +1,16 @@
 """The C kernel (kernel.c): build and load it, parse WCNF and start a
 search in it.
 
+kernel.c alone declares the structs that Python and C share: at import,
+the ctypes classes and PARTS are read from its source text, the bytes that
+also name the library. A declaration that cannot be read raises.
+
 load() compiles kernel.c once with $CC (default cc) into this package's
 __pycache__, named by a checksum of the source and the flags, and loads it
 with ctypes; later processes load the cached library without a compiler,
 and a build deletes the libraries of other sources. load() returns None
-when anything fails (no compiler, an unwritable cache directory, a library
-that does not match this file's struct layout), and solve then runs its
-Python body.
+when anything fails (no compiler, an unwritable cache directory), and
+solve then runs its Python body.
 
 parse() reads WCNF bytes into the arrays of two Clauses, or declines and
 leaves the text to the Python parser. start() hands the kernel the
@@ -24,64 +27,65 @@ import functools
 import importlib.machinery
 import os
 import random
+import re
 import shlex
 import tempfile
 import zlib
 from array import array
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .formula import INF, Clauses, Formula
-from .weighting import mode_deltas
+from .formula import INF, MAX_VARS, Clauses, Formula
+from .state import EPS
+from .weighting import DECAY_FACTOR, mode_deltas
 
 SOURCE = Path(__file__).with_name("kernel.c")
+_TEXT = SOURCE.read_bytes()  # read once: the cache key and the layout come from it
 # -ffp-contract=off: a fused multiply-add would round differently from Python.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# The -D constants are the Python reference's own values.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-DEPS={EPS!r}",
+         f"-DDECAY_FACTOR={DECAY_FACTOR!r}", f"-DMAX_VARS={MAX_VARS}")
 INT32_MAX = 2**31 - 1
+
+_SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def _layout(text: str) -> Tuple[Tuple[str, ...], Dict[str, type]]:
+    """The part names of the PART_ enum in kernel.c's text, and a ctypes
+    class per typedef struct, in the forms that kernel.c lists beside them."""
+    text = re.sub(r"/\*.*?\*/|//[^\n]*", " ", text, flags=re.S)
+    enum = re.search(r"enum\s*\{((?:\s*PART_\w+\s*,)*)\s*PARTS\s*\}", text)
+    if enum is None:
+        raise ValueError(f"{SOURCE.name}: no enum {{ PART_..., PARTS }} that can be read")
+    parts = tuple(p.lower() for p in re.findall(r"PART_(\w+)", enum.group(1)))
+    structs: Dict[str, type] = {}
+    for body, name in re.findall(r"typedef\s+struct\s*\{([^{}]*)\}\s*(\w+)\s*;", text):
+        fields = []
+        for decl in filter(str.strip, body.split(";")):
+            m = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", decl, re.S)
+            if m is None:
+                raise ValueError(f"{SOURCE.name}: cannot read {decl.strip()!r}")
+            base = _SCALARS.get(m.group(1)) or structs.get(m.group(1))
+            for d in m.group(2).split(","):
+                n = re.fullmatch(r"\s*(\**)\s*(\w+)\s*(\[\s*PARTS\s*\])?\s*", d)
+                ctype = ctypes.c_void_p if n and n.group(1) else base
+                if n is None or ctype is None:
+                    raise ValueError(f"{SOURCE.name}: cannot read {decl.strip()!r}")
+                fields.append((n.group(2), ctype * len(parts) if n.group(3) else ctype))
+        structs[name] = type(name, (ctypes.Structure,), {"_fields_": fields})
+    return parts, structs
+
+
 # The parts of the loop body that a profiled kernel times, in kernel.c's order.
-PARTS = ("bms_pick", "pick_from_falsified", "flip", "spb_weighting")
-
-_P = ctypes.c_void_p
+PARTS, _STRUCTS = _layout(_TEXT.decode())
+_State, _Parsed = _STRUCTS["kstate"], _STRUCTS["parsed"]
 _I = ctypes.c_int64
-_D = ctypes.c_double
-
-
-class _Kind(ctypes.Structure):
-    _fields_ = [("num_clauses", _I), ("lits", _P), ("off", _P), ("occ_off", _P), ("occ", _P),
-                ("sat_count", _P), ("sat_var", _P), ("falsified", _P), ("falsified_pos", _P),
-                ("num_falsified", _I)]
-
-
-class _State(ctypes.Structure):
-    """struct kstate of kernel.c, field for field."""
-
-    _fields_ = [("num_vars", _I), ("k", _I), ("decimation", _I),
-                ("h_inc", _D), ("hard_delta", _D), ("spb_delta", _D), ("decay_threshold", _D),
-                ("hard", _Kind), ("soft", _Kind),
-                ("soft_weight", _P), ("hard_weight", _P), ("values", _P), ("flip_stamp", _P),
-                ("hscore", _P), ("softdelta", _P), ("goodvars", _P), ("goodvars_pos", _P),
-                ("num_goodvars", _I), ("touched", _P), ("mt", _P),
-                ("step", _I), ("current_obj", _I), ("has_bound", _I), ("bound", _I),
-                ("max_hard_weight", _D), ("spb_weight", _D), ("optimum", _I),
-                ("profile", _I), ("part_calls", _I * len(PARTS)), ("part_ns", _I * len(PARTS))]
-
-
-class _ParsedKind(ctypes.Structure):
-    """pkind of kernel.c: the arrays and the fields of a Clauses."""
-
-    _fields_ = [("lits", _P), ("off", _P), ("weights", _P), ("num_lits", _I),
-                ("num_clauses", _I), ("empty", _I), ("dropped", _I), ("total", _I),
-                ("max_var", _I)]
-
-
-class _Parsed(ctypes.Structure):
-    _fields_ = [("hard", _ParsedKind), ("soft", _ParsedKind), ("num_vars", _I)]
 
 
 def library_path() -> Path:
     # Two 32-bit checksums, not hashlib: importing hashlib loads OpenSSL, about
     # 4 MB of resident memory in every process that imports the solver.
-    data = SOURCE.read_bytes() + " ".join(FLAGS).encode()
+    data = _TEXT + " ".join(FLAGS).encode()
     key = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
     return SOURCE.parent / "__pycache__" / f"kernel.{key}{suffix}"
@@ -91,7 +95,6 @@ def _build(path: Path) -> None:
     """Compile kernel.c to path through a temporary file in its directory, so
     that a concurrent loader never sees a half-written library, then delete
     the stale libraries beside it."""
-    import re
     import subprocess  # only here: a cached build needs no subprocess
 
     path.parent.mkdir(exist_ok=True)
@@ -128,16 +131,12 @@ def load() -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(str(path))
     except (OSError, ValueError):  # ValueError: a $CC that shlex cannot split
         return None
-    lib.kn_state_size.argtypes = []
-    lib.kn_state_size.restype = _I
     lib.kn_setup.argtypes = [ctypes.POINTER(_State)]
     lib.kn_setup.restype = None
     lib.kn_advance.argtypes = [ctypes.POINTER(_State), _I]
     lib.kn_advance.restype = _I
     lib.kn_parse.argtypes = [ctypes.c_char_p, _I, _I, ctypes.POINTER(_Parsed)]
     lib.kn_parse.restype = _I
-    if lib.kn_state_size() != ctypes.sizeof(_State):
-        return None
     return lib
 
 

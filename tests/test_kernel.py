@@ -168,6 +168,7 @@ def test_layer_split_counts_every_part_of_an_unchanged_run(lib):
     n, hard, soft = random_parts(random.Random(9), **INSTANCES["unit-200"])
     f = Formula(n, hard, soft)
     cfg = SolverConfig(max_flips=4000, seed=2, decay_threshold=300)
+    assert kernel.PARTS == ("bms_pick", "pick_from_falsified", "flip", "spb_weighting")
     plain = kernel.start
     split = kernel.layer_split(f, cfg)
     assert kernel.start is plain
@@ -333,6 +334,38 @@ def test_build_deletes_the_libraries_of_other_sources(tmp_path, instance):
     assert cli_solve(entry, instance)[1] == "c"
     assert sorted(p.name for p in cache.iterdir()) == \
         sorted([kernel.library_path().name, *(p.name for p in kept)])
+
+
+@pytest.mark.parametrize("old, new", [
+    ("int64_t optimum;", "int32_t optimum;"),
+    ("int64_t optimum;", "int64_t optimum[4];"),
+    ("int64_t optimum;", "void (*optimum)(void);"),
+    ("int64_t optimum;", "struct kind optimum;"),
+    ("int64_t optimum;", "int64_t optimum : 1;"),
+    ("PART_FLIP, PART_SPB", "PART_FLIP = 2, PART_SPB"),
+])
+def test_layout_reader_raises_on_a_form_it_does_not_know(old, new):
+    text = kernel.SOURCE.read_text()
+    assert text.count(old) == 1, old
+    with pytest.raises(ValueError):
+        kernel._layout(text.replace(old, new))
+
+
+def test_reordered_fields_in_kernel_c_run_the_same_flips(tmp_path, instance):
+    """kernel.py reads the struct layout from kernel.c: fields of one size
+    declared in another order must not change a flip."""
+    expected, backend = cli_solve(PACKAGE.parent, instance)
+    assert backend == "c"
+    entry = copy_package(tmp_path)
+    source = entry / "spbmaxsat" / kernel.SOURCE.name
+    text = source.read_text()
+    for old, new in (("int64_t step, current_obj;", "int64_t current_obj, step;"),
+                     ("double h_inc, hard_delta, spb_delta, decay_threshold;",
+                      "double decay_threshold, spb_delta, hard_delta, h_inc;")):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    source.write_text(text)
+    assert cli_solve(entry, instance) == (expected, "c")
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "cache is a file"])
