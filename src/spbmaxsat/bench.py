@@ -36,7 +36,8 @@ class RunRecord:
     skipped: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # vars, not asdict: asdict deep-copies the config and the trace.
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def mse_score(bkc: int, found) -> float:

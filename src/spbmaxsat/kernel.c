@@ -3,17 +3,20 @@
  *
  * A straight port of decimation_init and random_init, SearchState's build,
  * state.flip (with refresh_candidacy and the IndexSet add/discard),
- * search._best, bms_pick and pick_from_falsified, and
- * weighting.spb_weighting and decay_weights. Every array lives in a Python
- * array.array that kernel.py allocates and keeps alive; this file only
- * reads and writes through the pointers in struct kstate.
+ * search._best, pick_from_falsified, and weighting.spb_weighting and
+ * decay_weights; and of bms_pick, which scores each distinct sample once
+ * and stops sampling a small candidate set once it has drawn all of it
+ * (see bms_pick). Every array lives in a Python array.array that kernel.py
+ * allocates and keeps alive; this file only reads and writes through the
+ * pointers in struct kstate.
  *
  * A run is flip for flip the Python one:
  *  - the same order: touched variables, set members and score sums follow
  *    the Python loops exactly, so floating-point sums round the same way
  *    (build with -ffp-contract=off: a fused multiply-add rounds once);
  *  - the same random numbers: CPython's MT19937, random() and
- *    randrange(), seeded from random.Random.getstate();
+ *    randrange(), seeded from random.Random.getstate(); the words of BMS
+ *    samples that cannot change a pick are skipped, not left undrawn;
  *  - the same types: hard weights, hscore and the SPB weight are doubles,
  *    soft weights, softdelta and the objective are int64.
  */
@@ -69,25 +72,27 @@ typedef struct {
 #define MT_N 624
 #define MT_M 397
 
-static uint32_t genrand_uint32(uint32_t *mt)
+/* The next 624 words, computed in place; the index goes back to 0. */
+static void mt_twist(uint32_t *mt)
 {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
     uint32_t y;
-    if (mt[MT_N] >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt[MT_N] = 0;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[mt[MT_N]++];
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    mt[MT_N] = 0;
+}
+
+static inline uint32_t temper(uint32_t y)
+{
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -95,11 +100,39 @@ static uint32_t genrand_uint32(uint32_t *mt)
     return y;
 }
 
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    if (mt[MT_N] >= MT_N)
+        mt_twist(mt);
+    return temper(mt[mt[MT_N]++]);
+}
+
+/* random_random from two words */
+static inline double to_double(uint32_t a, uint32_t b)
+{
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0);
+}
+
 static double random01(uint32_t *mt)
 {
-    uint32_t a = genrand_uint32(mt) >> 5;
-    uint32_t b = genrand_uint32(mt) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    uint32_t a = genrand_uint32(mt);
+    return to_double(a, genrand_uint32(mt));
+}
+
+/* The state after n more genrand_uint32 calls, without tempering their words:
+ * a block is twisted when the index has run past it, as genrand_uint32 does
+ * at its next call. */
+static void mt_skip(uint32_t *mt, int64_t n)
+{
+    while (n > 0) {
+        if (mt[MT_N] >= MT_N)
+            mt_twist(mt);
+        int64_t step = MT_N - (int64_t)mt[MT_N];
+        if (step > n)
+            step = n;
+        mt[MT_N] += (uint32_t)step;
+        n -= step;
+    }
 }
 
 /* IndexSet.add / IndexSet.discard */
@@ -233,34 +266,93 @@ static void flip(kstate *s, int32_t v)
     refresh_candidacy(s, s->touched, nt);
 }
 
-/* search._best: higher score, then the older flip stamp, then the lower id;
- * a candidate equal to the current best is skipped. */
+/* search._best's order: higher score, then the older flip stamp, then the
+ * lower id. */
 static inline int better(const kstate *s, int32_t u, double su, int32_t b, double sb)
 {
     return su > sb || (su == sb && (s->flip_stamp[u] < s->flip_stamp[b]
                                     || (s->flip_stamp[u] == s->flip_stamp[b] && u < b)));
 }
 
+/* search._best's step: take u as the best so far (best < 0: none yet) if it
+ * is better; a candidate equal to the best is skipped. */
+static inline void consider(const kstate *s, int32_t u, int32_t *best, double *best_s)
+{
+    if (u == *best)
+        return;
+    double su = score(s, u);
+    if (*best < 0 || better(s, u, su, *best, *best_s)) {
+        *best = u;
+        *best_s = su;
+    }
+}
+
+/* random01 with the MT index kept in *idx; mt[MT_N] is brought up to date
+ * only around a twist, and the caller stores *idx back when done. */
+static inline double random01_at(uint32_t *mt, uint32_t *idx)
+{
+    if (*idx < MT_N - 1) {
+        uint32_t a = mt[*idx], b = mt[*idx + 1];
+        *idx += 2;
+        return to_double(temper(a), temper(b));
+    }
+    mt[MT_N] = *idx;
+    double r = random01(mt);
+    *idx = mt[MT_N];
+    return r;
+}
+
+#define BMS_BATCH 128 /* samples drawn and prefetched before they are scored */
+
+/* search.bms_pick: the best of k members sampled with replacement, each as
+ * random.choices takes it, members[floor(random() * n)] (two MT words).
+ *
+ * better() is a strict total order on distinct variables (score, then the
+ * older flip stamp, then the lower id) because scores are finite: they are
+ * sums of finite clause weights (a NaN would need a weight to overflow). So
+ * the pick is the largest of the distinct members sampled, whatever their
+ * order and repeats, and two shortcuts return the variable and leave the MT
+ * state that k draws compared one by one would:
+ *  - n <= 64, the width of the mask: a bit per position records the set
+ *    sampled so far. Once it holds all n, later samples cannot change it, so
+ *    the words of the rest are skipped untempered (mt_skip), and each
+ *    member is scored once.
+ *  - n > 64: the samples are drawn a batch at a time with the MT index in a
+ *    local and their hscore and softdelta prefetched, then compared. */
 static int32_t bms_pick(kstate *s)
 {
     const int32_t *members = s->goodvars;
-    int64_t n = s->num_goodvars;
+    uint32_t *mt = s->mt, idx = mt[MT_N];
+    int64_t n = s->num_goodvars, k = s->k, i = 0;
     if (n == 1)
         return members[0];
-    /* random.choices: members[floor(random() * n)] per sample */
     double dn = (double)n;
-    int32_t best = members[(int64_t)(random01(s->mt) * dn)];
-    double best_s = score(s, best);
-    for (int64_t i = 1; i < s->k; i++) {
-        int32_t u = members[(int64_t)(random01(s->mt) * dn)];
-        if (u == best)
-            continue;
-        double su = score(s, u);
-        if (better(s, u, su, best, best_s)) {
-            best = u;
-            best_s = su;
-        }
+    int32_t best = -1;
+    double best_s = 0.0;
+    if (n <= 64) {
+        uint64_t all = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1, seen = 0;
+        for (; i < k && seen != all; i++)
+            seen |= (uint64_t)1 << (int64_t)(random01_at(mt, &idx) * dn);
+        mt[MT_N] = idx;
+        mt_skip(mt, 2 * (k - i));
+        for (; seen; seen &= seen - 1)
+            consider(s, members[__builtin_ctzll(seen)], &best, &best_s);
+        return best;
     }
+    int32_t batch[BMS_BATCH];
+    while (i < k) {
+        int64_t m = k - i < BMS_BATCH ? k - i : BMS_BATCH;
+        for (int64_t j = 0; j < m; j++) {
+            int32_t u = members[(int64_t)(random01_at(mt, &idx) * dn)];
+            __builtin_prefetch(&s->hscore[u]);
+            __builtin_prefetch(&s->softdelta[u]);
+            batch[j] = u;
+        }
+        for (int64_t j = 0; j < m; j++)
+            consider(s, batch[j], &best, &best_s);
+        i += m;
+    }
+    mt[MT_N] = idx;
     return best;
 }
 
@@ -272,18 +364,10 @@ static int32_t pick_from_falsified(kstate *s)
     if (!c->num_falsified)
         return -1;
     int32_t cid = c->falsified[(int64_t)(random01(s->mt) * (double)c->num_falsified)];
-    int32_t best = abs(c->lits[c->off[cid]]);
-    double best_s = score(s, best);
-    for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {
-        int32_t u = abs(c->lits[l]);
-        if (u == best)
-            continue;
-        double su = score(s, u);
-        if (better(s, u, su, best, best_s)) {
-            best = u;
-            best_s = su;
-        }
-    }
+    int32_t best = -1;
+    double best_s = 0.0;
+    for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++)
+        consider(s, abs(c->lits[l]), &best, &best_s);
     return best;
 }
 

@@ -6,14 +6,17 @@ the ctypes classes and PARTS are read from its source text, the bytes that
 also name the library. A declaration that cannot be read raises.
 
 load() compiles kernel.c once with $CC (default cc) into this package's
-__pycache__, named by a checksum of the source and the flags, and loads it
-with ctypes; later processes load the cached library without a compiler,
-and a build deletes the libraries of other sources. load() returns None
-when anything fails (no compiler, an unwritable cache directory), and
-solve then runs its Python body.
+__pycache__, named by a checksum of the source, the flags and $CC, and
+loads it with ctypes; later processes load the cached library without a
+compiler, and a build deletes the libraries of other sources. load()
+returns None when anything fails (no compiler, an unwritable cache
+directory), and solve then runs its Python body. Importing the package
+compiles nothing: solve builds the kernel at its first call, and the CLI's
+solve and bench call load() before they start their clocks.
 
 parse() reads WCNF bytes into the arrays of two Clauses, or declines and
-leaves the text to the Python parser. start() hands the kernel the
+leaves the text to the Python parser; it uses a library that is built
+already and never compiles one. start() hands the kernel the
 formula's own clause arrays and the RNG state;
 the kernel builds the initial assignment and the search state from them.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
@@ -83,9 +86,15 @@ _I = ctypes.c_int64
 
 
 def library_path() -> Path:
+    """The library that $CC (default cc) builds from kernel.c with FLAGS."""
+    return _library_path(os.environ.get("CC", "cc"))
+
+
+@functools.lru_cache(maxsize=None)  # each parse asks for it
+def _library_path(cc: str) -> Path:
     # Two 32-bit checksums, not hashlib: importing hashlib loads OpenSSL, about
     # 4 MB of resident memory in every process that imports the solver.
-    data = _TEXT + " ".join(FLAGS).encode()
+    data = b"\0".join([_TEXT, " ".join(FLAGS).encode(), cc.encode()])
     key = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
     return SOURCE.parent / "__pycache__" / f"kernel.{key}{suffix}"
@@ -147,8 +156,10 @@ def _zeros(code: str, n: int) -> array:
 def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
     """The num_vars, hard and soft Clauses that formula.parse_wcnf builds
     from the WCNF text data, read by kernel.c's kn_parse; None when the
-    kernel did not load or kn_parse declines (on any error, for one)."""
-    lib = load()
+    kernel is not built, did not load or kn_parse declines (on any error,
+    for one). A parse never compiles the kernel: a process that only reads
+    instances (the oracle) runs no compiler."""
+    lib = load() if library_path().exists() else None
     out = _Parsed()
     if lib is None or lib.kn_parse(data, len(data), 0, out):  # checks and counts
         return None

@@ -220,11 +220,13 @@ def solve(
     """Run the local search until the flip or time budget is exhausted.
 
     Every strict improvement triggers on_improvement(cost) immediately.
-    The start state and the flips come from the C kernel when it loads,
-    else from Python; both make the same flips.
+    The start state and the flips come from the C kernel when it loads
+    (the first call builds it, before the clock starts), else from Python;
+    both make the same flips.
     """
     cfg = (config or SolverConfig()).resolve(formula)
     rng = random.Random(cfg.seed)
+    kernel.load()
     t0 = perf_counter()
 
     if formula.has_empty_hard:
@@ -277,8 +279,3 @@ def solve(
 
     backend = "c" if isinstance(walk, kernel.Walk) else "python"
     return SolveResult(best_values, best_cost, trace, flips, termination, cfg, backend)
-
-
-# Build or load the kernel at import, not at the first flip: a compile takes
-# about half a second, and a timed run should not pay it.
-kernel.load()

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 
 import pytest
 
 from spbmaxsat.bench import (
     RunRecord,
+    _run_one,
     aggregate,
     compute_wins,
     format_report,
@@ -59,6 +61,19 @@ def _write_instances(tmp_path, count=3, seed=17):
         n, hard, soft = random_parts(rng, min_vars=6, max_vars=10,
                                      min_clauses=8, max_clauses=20)
         (tmp_path / f"inst{i}.wcnf").write_text(render_old(n, hard, soft))
+
+
+def test_record_json_is_the_asdict_json(tmp_path):
+    _write_instances(tmp_path, count=1)
+    (tmp_path / "bad.wcnf").write_text("p wcnf nope\n")
+    cfg = SolverConfig(max_flips=500, seed=1)
+    solved = _run_one((str(tmp_path / "inst0.wcnf"), "S", cfg))
+    crashed = RunRecord("x.wcnf", "S", asdict(cfg), None, None, [], 0, "error", 0.1,
+                        error="crash: boom")
+    unreadable = _run_one((str(tmp_path / "bad.wcnf"), "S", cfg))
+    assert solved.trace and unreadable.error
+    for record in (solved, crashed, unreadable):
+        assert record.to_json() == json.dumps(asdict(record), sort_keys=True)
 
 
 class TestRunBenchmark:

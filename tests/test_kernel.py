@@ -17,7 +17,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 from unittest import mock
 
 import pytest
@@ -84,10 +84,11 @@ def start_both(f: Formula, cfg: SolverConfig):
     return c, py
 
 
-def run_both(f: Formula, cfg: SolverConfig, flips: int, chunks: random.Random) -> int:
-    """Advance both backends from one start through flips, in random chunks,
-    with solve's improvement bookkeeping between chunks; returns the number
-    of chunks compared."""
+def run_both(f: Formula, cfg: SolverConfig, flips: int,
+             chunk: Callable[[_PythonWalk], int]) -> int:
+    """Advance both backends from one start through flips, in chunks of
+    chunk(Python walk) flips, with solve's improvement bookkeeping between
+    chunks; returns the number of chunks compared."""
     cfg = cfg.resolve(f)
     c, py = start_both(f, cfg)
     best = float("inf")
@@ -100,7 +101,7 @@ def run_both(f: Formula, cfg: SolverConfig, flips: int, chunks: random.Random) -
             c.set_bound(cost)
             if cost == 0:
                 break
-        n = min(chunks.randint(1, 700), flips - done)
+        n = min(chunk(py), flips - done)
         result = py.advance(n)
         assert c.advance(n) == result
         assert_same_state(c, py)
@@ -123,8 +124,30 @@ def test_kernel_state_matches_python_body(lib, instance, mode, init, preset):
         n, hard, soft = random_parts(rng, **INSTANCES[instance])
         cfg = SolverConfig(mode=mode, init=init, preset=preset, seed=i + 1,
                            decay_threshold=300, max_flips=flips)
-        compared += run_both(Formula(n, hard, soft), cfg, flips, rng)
+        compared += run_both(Formula(n, hard, soft), cfg, flips, lambda _: rng.randint(1, 700))
     assert compared >= count
+
+
+@pytest.mark.parametrize("k", [1, 2, 97, 1500])
+def test_bms_pick_matches_python_flip_by_flip(lib, k):
+    """Both backends one flip at a time, from starts of many positive-score
+    variables: the kernel's pick scores a set of at most 64 members once its
+    samples have drawn them all and skips the rest of the draws, and draws
+    and prefetches a larger set's samples in batches. k = 1500 skips past a
+    twist of the Mersenne Twister within one pick."""
+    sizes = set()
+
+    def one_flip(py: _PythonWalk) -> int:
+        sizes.add(len(py.state.goodvars.members))
+        return 1
+
+    rng = random.Random(f"bms-{k}")
+    for i, init in enumerate(INITS):
+        n, hard, soft = random_parts(rng, min_vars=400, max_vars=400, min_clauses=1600,
+                                     max_clauses=1600, max_weight=1000)
+        cfg = SolverConfig(k=k, init=init, seed=i + 1, decay_threshold=300, max_flips=600)
+        run_both(Formula(n, hard, soft), cfg, 600, one_flip)
+    assert {63, 64, 65} <= sizes, sorted(sizes)
 
 
 # Many unit clauses: decimation's hard queue and soft draws do most of the work.
@@ -292,15 +315,19 @@ def copy_package(dest: Path) -> Path:
     return dest
 
 
-def cli_solve(path_entry: Path, instance: Path, cc: Optional[str] = None):
+def cli(path_entry: Path, *args: str, cc: Optional[str] = None) -> subprocess.CompletedProcess:
+    """Run the CLI from path_entry, with $CC set to cc when it is given."""
     env = dict(os.environ, PYTHONPATH=str(path_entry), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("CC", None)
     if cc is not None:
         env["CC"] = cc
-    out = subprocess.run(
-        [sys.executable, "-m", "spbmaxsat.cli", "solve", str(instance), "--max-flips", "3000",
-         "--seed", "3"], env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-m", "spbmaxsat.cli", *args], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    return out
+
+
+def cli_solve(path_entry: Path, instance: Path, cc: Optional[str] = None):
+    out = cli(path_entry, "solve", str(instance), "--max-flips", "3000", "--seed", "3", cc=cc)
     backend = out.stderr.split("backend=")[1].split()[0]
     return out.stdout, backend
 
@@ -313,14 +340,44 @@ def instance(tmp_path_factory):
     return path
 
 
-def test_second_process_uses_the_cached_build(tmp_path, instance):
-    entry = copy_package(tmp_path)
-    first, backend = cli_solve(entry, instance)
+def test_second_process_uses_the_cached_build(tmp_path, instance, monkeypatch):
+    entry = copy_package(tmp_path / "pkg")
+    cc = tmp_path / "cc"
+    cc.write_text('#!/bin/sh\nexec cc "$@"\n')
+    cc.chmod(0o755)
+    first, backend = cli_solve(entry, instance, cc=str(cc))
     assert backend == "c"
     built = sorted(p.name for p in (entry / "spbmaxsat" / "__pycache__").iterdir())
+    monkeypatch.setenv("CC", str(cc))
     assert built == [kernel.library_path().name]
-    # CC=false fails any compile: the C backend now comes from the cache.
-    assert cli_solve(entry, instance, cc="false") == (first, "c")
+    # The same $CC now fails any compile: the C backend comes from the cache.
+    cc.write_text("#!/bin/sh\nexit 1\n")
+    assert cli_solve(entry, instance, cc=str(cc)) == (first, "c")
+
+
+def test_cc_is_part_of_the_cache_key(monkeypatch):
+    def path(cc: str) -> Path:
+        monkeypatch.setenv("CC", cc)
+        return kernel.library_path()
+
+    plain, ubsan = path("cc"), path("cc -fsanitize=undefined")
+    assert plain != ubsan
+    assert path("cc") == plain and path("cc -fsanitize=undefined") == ubsan
+    monkeypatch.delenv("CC")
+    assert kernel.library_path() == plain  # $CC defaults to cc
+
+
+def test_help_and_oracle_compile_nothing(tmp_path, instance):
+    """Importing the package, --help and the oracle (which parses in Python
+    then) build no kernel; solve builds and uses it."""
+    entry = copy_package(tmp_path)
+    small = tmp_path / "small.wcnf"
+    small.write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
+    assert "usage" in cli(entry, "--help").stdout
+    assert cli(entry, "oracle", str(small)).stdout == "o 2\n"
+    assert not list(entry.glob("spbmaxsat/__pycache__/kernel.*"))
+    assert cli_solve(entry, instance)[1] == "c"
+    assert list(entry.glob("spbmaxsat/__pycache__/kernel.*"))
 
 
 def test_build_deletes_the_libraries_of_other_sources(tmp_path, instance):
