@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,13 +83,13 @@ def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
     try:
         result: SolveResult = solve(formula, cfg)
     except Exception as exc:  # a crashed run scores as no-feasible
-        return RunRecord(path, label, asdict(cfg), None, None, [], 0, "error",
+        return RunRecord(path, label, dict(vars(cfg)), None, None, [], 0, "error",
                          perf_counter() - t0, error=f"crash: {exc}")
     feasible = result.feasible
     return RunRecord(
         instance=path,
         label=label,
-        config=asdict(result.config),
+        config=dict(vars(result.config)),  # not asdict: it deep-copies
         best_cost=int(result.best_cost) if feasible else None,
         time_to_best=result.trace[-1][1] if feasible else None,
         trace=list(result.trace),

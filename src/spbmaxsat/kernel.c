@@ -6,16 +6,16 @@
  * search._best, pick_from_falsified, and weighting.spb_weighting and
  * decay_weights; and of bms_pick, which scores each distinct sample once
  * and stops sampling a small candidate set once it has drawn all of it
- * (see bms_pick). Every array lives in a Python array.array that kernel.py
- * allocates and keeps alive; this file only reads and writes through the
- * pointers in struct kstate.
+ * (see bms_pick). The clause literals, offsets and soft weights are the
+ * formula's own arrays, read in place; every other array is carved by
+ * kn_setup from one zeroed buffer that kernel.py allocates and keeps alive.
  *
  * A run is flip for flip the Python one:
  *  - the same order: touched variables, set members and score sums follow
  *    the Python loops exactly, so floating-point sums round the same way
  *    (build with -ffp-contract=off: a fused multiply-add rounds once);
  *  - the same random numbers: CPython's MT19937, random() and
- *    randrange(), seeded from random.Random.getstate(); the words of BMS
+ *    randrange(), seeded as random.Random(seed) seeds it; the words of BMS
  *    samples that cannot change a pick are skipped, not left undrawn;
  *  - the same types: hard weights, hscore and the SPB weight are doubles,
  *    soft weights, softdelta and the objective are int64.
@@ -60,6 +60,8 @@ typedef struct {
     int64_t num_goodvars;
     int32_t *touched; /* scratch: total literals + num_vars + 1 entries */
     uint32_t *mt;     /* 624 state words, then the index */
+    const uint8_t *seed_key; /* abs(seed), little-endian, 4 * seed_words bytes */
+    int64_t seed_words;
     int64_t step, current_obj;
     int64_t has_bound, bound; /* the SPB bound: the best cost so far */
     double max_hard_weight, spb_weight;
@@ -89,6 +91,41 @@ static void mt_twist(uint32_t *mt)
     y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
     mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
     mt[MT_N] = 0;
+}
+
+/* CPython's random_seed for an int seed (init_genrand and init_by_array):
+ * the key is the 32-bit words of abs(seed), least significant first, read
+ * from its little-endian bytes. The index is left at MT_N, so the first
+ * draw twists. */
+static void mt_seed(uint32_t *mt, const uint8_t *key, int64_t words)
+{
+    mt[0] = 19650218U;
+    for (uint32_t n = 1; n < MT_N; n++)
+        mt[n] = 1812433253U * (mt[n - 1] ^ (mt[n - 1] >> 30)) + n;
+    int64_t i = 1, j = 0;
+    for (int64_t k = MT_N > words ? MT_N : words; k; k--) {
+        const uint8_t *b = key + 4 * j;
+        uint32_t word = b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + word + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= words)
+            j = 0;
+    }
+    for (int64_t k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U; /* MSB is 1, so the state is not all zero */
+    mt[MT_N] = MT_N;
 }
 
 static inline uint32_t temper(uint32_t y)
@@ -435,12 +472,11 @@ static void spb_weighting(kstate *s)
     decay_weights(s);
 }
 
-/* The occurrence lists of one kind: occ_off and occ from lits and off. */
+/* The occurrence lists of one kind: occ_off (zeroed) and occ from lits and
+ * off. */
 static void build_occ(kind *c, int64_t num_vars)
 {
     int64_t slots = 2 * (num_vars + 1), total = c->off[c->num_clauses];
-    for (int64_t i = 0; i <= slots; i++)
-        c->occ_off[i] = 0;
     for (int64_t l = 0; l < total; l++)
         c->occ_off[2 * (int64_t)abs(c->lits[l]) + (c->lits[l] > 0) + 1]++;
     for (int64_t i = 0; i < slots; i++)
@@ -589,12 +625,66 @@ static void decimation_init(kstate *s)
 DEFINE_BUILD_KIND(build_hard, double)
 DEFINE_BUILD_KIND(build_soft, int64_t)
 
-/* The start state of solve: the occurrence lists, the initial assignment
- * (decimation or random, drawing from mt), then what SearchState's build
- * computes from it, in the same order. Expects values, flip_stamp, hscore
- * and softdelta zeroed, hard_weight all 1, current_obj the soft base. */
-void kn_setup(kstate *s)
+/* The address p rounded up to a 64-byte boundary. */
+static inline uintptr_t align64(uintptr_t p)
 {
+    return (p + 63) & ~(uintptr_t)63;
+}
+
+/* Point field at n items from the next 64-byte boundary at or after at,
+ * and move at past them. */
+#define CARVE(at, field, n) \
+    ((at) = align64(at), (field) = (void *)(at), (at) += (uintptr_t)(n) * sizeof *(field))
+
+/* Carve every array that the kernel owns from the memory at at; returns the
+ * end of the last one. This order is the arrays' layout, set nowhere else. */
+static uintptr_t carve(kstate *s, uintptr_t at)
+{
+    int64_t vars = s->num_vars + 1;
+    kind *kinds[2] = {&s->hard, &s->soft};
+    for (int i = 0; i < 2; i++) {
+        kind *c = kinds[i];
+        int64_t m = c->num_clauses;
+        CARVE(at, c->occ_off, 2 * vars + 1);
+        CARVE(at, c->occ, c->off[m]);
+        CARVE(at, c->sat_count, m);
+        CARVE(at, c->sat_var, m);
+        CARVE(at, c->falsified, m);
+        CARVE(at, c->falsified_pos, m);
+    }
+    CARVE(at, s->values, vars);
+    CARVE(at, s->flip_stamp, vars);
+    CARVE(at, s->hscore, vars);
+    CARVE(at, s->softdelta, vars);
+    CARVE(at, s->hard_weight, s->hard.num_clauses);
+    CARVE(at, s->goodvars, vars);
+    CARVE(at, s->goodvars_pos, vars);
+    CARVE(at, s->mt, MT_N + 1);
+    int64_t lits = (int64_t)s->hard.off[s->hard.num_clauses] + s->soft.off[s->soft.num_clauses];
+    CARVE(at, s->touched, lits + vars);
+    return at;
+}
+
+/* The start state of solve. With arena NULL, returns the bytes that an
+ * arena must have. Otherwise carves every array from arena, which must be
+ * that long and zeroed, then builds: the hard weights (1), the Mersenne
+ * Twister from the seed key, the occurrence lists, the initial assignment
+ * (decimation or random, drawing from mt), then what SearchState's build
+ * computes from it, in the same order; returns 0. Expects the scalar
+ * fields, the seed key, current_obj (the soft base) and each kind's
+ * num_clauses, lits and off set. */
+int64_t kn_setup(kstate *s, void *arena)
+{
+    if (!arena) {
+        kstate probe = *s; /* carve from address 0, leaving s as it is */
+        return (int64_t)carve(&probe, 0) + 63; /* + room to align the start */
+    }
+    carve(s, align64((uintptr_t)arena));
+    for (int64_t cid = 0; cid < s->hard.num_clauses; cid++)
+        s->hard_weight[cid] = 1.0;
+    s->step = 1;
+    s->max_hard_weight = s->spb_weight = 1.0;
+    mt_seed(s->mt, s->seed_key, s->seed_words);
     build_occ(&s->hard, s->num_vars);
     build_occ(&s->soft, s->num_vars);
     if (s->decimation)
@@ -607,6 +697,7 @@ void kn_setup(kstate *s)
     for (int64_t v = 0; v <= s->num_vars; v++)
         s->goodvars_pos[v] = -1;
     refresh_all(s);
+    return 0;
 }
 
 static inline int64_t now_ns(void)

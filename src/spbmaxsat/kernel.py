@@ -16,9 +16,11 @@ solve and bench call load() before they start their clocks.
 
 parse() reads WCNF bytes into the arrays of two Clauses, or declines and
 leaves the text to the Python parser; it uses a library that is built
-already and never compiles one. start() hands the kernel the
-formula's own clause arrays and the RNG state;
-the kernel builds the initial assignment and the search state from them.
+already and never compiles one. start() hands the kernel the formula's own
+clause arrays and the seed's words, and one zeroed buffer that the kernel
+carves its arrays from; the kernel seeds its Mersenne Twister as
+random.Random(seed) does and builds the initial assignment and the search
+state.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
 and layer_split() times its parts.
 """
@@ -29,9 +31,9 @@ import ctypes
 import functools
 import importlib.machinery
 import os
-import random
 import re
 import shlex
+import struct
 import tempfile
 import zlib
 from array import array
@@ -140,8 +142,8 @@ def load() -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(str(path))
     except (OSError, ValueError):  # ValueError: a $CC that shlex cannot split
         return None
-    lib.kn_setup.argtypes = [ctypes.POINTER(_State)]
-    lib.kn_setup.restype = None
+    lib.kn_setup.argtypes = [ctypes.POINTER(_State), ctypes.c_void_p]
+    lib.kn_setup.restype = _I
     lib.kn_advance.argtypes = [ctypes.POINTER(_State), _I]
     lib.kn_advance.restype = _I
     lib.kn_parse.argtypes = [ctypes.c_char_p, _I, _I, ctypes.POINTER(_Parsed)]
@@ -184,62 +186,48 @@ def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
 class Walk:
     """solve's search body running in the C kernel.
 
-    The arrays below are the kernel's state, named after the SearchState
-    fields they stand for: falsified and goodvars hold the set members
-    padded to capacity, mt the Mersenne Twister words then its index. The
-    clause literals, offsets and soft weights are the formula's own arrays,
-    read in place. kn_setup builds everything else, the start assignment
-    included, and uses the falsified, goodvars and count arrays as scratch
-    for decimation_init first.
+    The clause literals, offsets and soft weights are the formula's own
+    arrays, read in place. Every other array of the kernel's state lives in
+    one zeroed bytearray, arena: kn_setup first returns its size, then
+    carves the arrays from it, each at a 64-byte boundary, seeds the
+    Mersenne Twister from cfg.seed as random.Random does, and builds the
+    start state, the start assignment included. st's pointer fields locate
+    each array; view() reads one.
     """
 
-    def __init__(self, lib: ctypes.CDLL, formula: Formula, cfg, rng: random.Random):
+    def __init__(self, lib: ctypes.CDLL, formula: Formula, cfg):
         f = self.formula = formula  # keeps the clause arrays alive
-        nv = f.num_vars
         self._lib = lib
         hard_delta, spb_delta = mode_deltas(cfg)
-        self.st = st = _State(num_vars=nv, k=cfg.k, decimation=cfg.init == "decimation",
+        seed = abs(cfg.seed)
+        words = max(1, -(-seed.bit_length() // 32))
+        self._seed = array("B", seed.to_bytes(4 * words, "little"))
+        self.st = st = _State(num_vars=f.num_vars, k=cfg.k, decimation=cfg.init == "decimation",
                               h_inc=cfg.h_inc, hard_delta=hard_delta, spb_delta=spb_delta,
-                              decay_threshold=cfg.decay_threshold,
-                              step=1, current_obj=f.soft_base, max_hard_weight=1.0,
-                              spb_weight=1.0)
-        self.set_bound(INF)
-        self.kinds = {}
-        total = nv + 1
-        for name, clauses in (("hard", f.hard), ("soft", f.soft)):
-            m = len(clauses)
-            arrays = dict(occ_off=_zeros("i", 2 * (nv + 1) + 1), occ=_zeros("i", len(clauses.lits)),
-                          sat_count=_zeros("i", m), sat_var=_zeros("i", m),
-                          falsified=_zeros("i", m), falsified_pos=_zeros("i", m))
-            total += len(clauses.lits)
-            self.kinds[name] = arrays
-            kind = getattr(st, name)
-            kind.num_clauses = m
+                              decay_threshold=cfg.decay_threshold, current_obj=f.soft_base,
+                              soft_weight=f.soft_weights.buffer_info()[0],
+                              seed_key=self._seed.buffer_info()[0], seed_words=words)
+        for kind, clauses in ((st.hard, f.hard), (st.soft, f.soft)):
+            kind.num_clauses = len(clauses)
             kind.lits = clauses.lits.buffer_info()[0]
             kind.off = clauses.off.buffer_info()[0]
-            for field, a in arrays.items():
-                setattr(kind, field, a.buffer_info()[0])
-        self.values = _zeros("i", nv + 1)
-        self.flip_stamp = _zeros("q", nv + 1)
-        self.hscore = _zeros("d", nv + 1)
-        self.softdelta = _zeros("q", nv + 1)
-        self.hard_weight = array("d", [1.0]) * len(f.hard)
-        self.goodvars = _zeros("i", nv + 1)
-        self.goodvars_pos = _zeros("i", nv + 1)
-        self.mt = array("I", rng.getstate()[1])
-        self.touched = _zeros("i", total)  # see struct kstate
-        for field in ("values", "flip_stamp", "hscore", "softdelta", "hard_weight",
-                      "goodvars", "goodvars_pos", "mt", "touched"):
-            setattr(st, field, getattr(self, field).buffer_info()[0])
-        st.soft_weight = f.soft_weights.buffer_info()[0]
-        lib.kn_setup(st)
+        self.arena = bytearray(lib.kn_setup(st, None))
+        self._base = ctypes.addressof(ctypes.c_char.from_buffer(self.arena))
+        lib.kn_setup(st, self._base)
+        self._values = self.view(st.values, "i", f.num_vars + 1)
+
+    def view(self, address: int, code: str, n: int) -> memoryview:
+        """The n items of array type code at address, one of st's pointers
+        into arena."""
+        at = address - self._base
+        return memoryview(self.arena)[at:at + n * struct.calcsize(code)].cast(code)
 
     def cost(self) -> float:
         """The objective if no hard clause is falsified, inf otherwise."""
         return INF if self.st.hard.num_falsified else self.st.current_obj
 
     def assignment(self) -> List[int]:
-        return self.values.tolist()
+        return self._values.tolist()
 
     def set_bound(self, cost) -> None:
         """Set the SPB bound (the best cost so far; inf before the first)."""
@@ -252,15 +240,15 @@ class Walk:
         return done, bool(self.st.optimum)
 
 
-def start(formula: Formula, cfg, rng: random.Random) -> Optional[Walk]:
-    """A Walk from solve's start state, the initial assignment drawn from
-    rng's state as cfg.init says (rng itself is not advanced), or None when
+def start(formula: Formula, cfg) -> Optional[Walk]:
+    """A Walk from solve's start state, the initial assignment drawn as
+    cfg.init says from a Mersenne Twister seeded with cfg.seed, or None when
     the kernel did not load or a count does not fit its 32-bit indices."""
     lib = load()
     f = formula
     if lib is None or max(f.num_vars + 1, len(f.hard.lits), len(f.soft.lits)) > INT32_MAX:
         return None
-    return Walk(lib, f, cfg, rng)
+    return Walk(lib, f, cfg)
 
 
 def layer_split(formula, cfg) -> dict:

@@ -65,6 +65,10 @@ class SolverConfig:
             raise ConfigError(f"unknown weighting mode {self.mode!r}")
         if self.init not in INITS:
             raise ConfigError(f"unknown init mode {self.init!r}")
+        # The kernel seeds from the int's words; random.Random would also
+        # take a str or a float, and seed them another way.
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an int, not {type(self.seed).__name__}")
         if self.k is not None and self.k < 1:
             raise ConfigError("k must be >= 1")
         # Negated comparisons, so that NaN fails too.
@@ -225,15 +229,15 @@ def solve(
     both make the same flips.
     """
     cfg = (config or SolverConfig()).resolve(formula)
-    rng = random.Random(cfg.seed)
     kernel.load()
     t0 = perf_counter()
 
     if formula.has_empty_hard:
         return SolveResult(None, INF, [], 0, TERM_INFEASIBLE, cfg)
 
-    walk = kernel.start(formula, cfg, rng)
+    walk = kernel.start(formula, cfg)  # seeds its own Mersenne Twister
     if walk is None:
+        rng = random.Random(cfg.seed)
         values = decimation_init(formula, rng) if cfg.init == "decimation" \
             else random_init(formula, rng)
         walk = _PythonWalk(SearchState(formula, values), cfg, rng)

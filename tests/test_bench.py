@@ -16,7 +16,7 @@ from spbmaxsat.bench import (
     mse_score,
     run_benchmark,
 )
-from spbmaxsat.formula import INF
+from spbmaxsat.formula import INF, load_wcnf
 from spbmaxsat.search import SolverConfig
 
 from gen import random_parts, render_old
@@ -72,7 +72,13 @@ def test_record_json_is_the_asdict_json(tmp_path):
                         error="crash: boom")
     unreadable = _run_one((str(tmp_path / "bad.wcnf"), "S", cfg))
     assert solved.trace and unreadable.error
-    for record in (solved, crashed, unreadable):
+    # The record's config is the asdict of the run's config: the resolved
+    # one, or the one given when solve raises (here: no budget).
+    assert solved.config == asdict(cfg.resolve(load_wcnf(tmp_path / "inst0.wcnf")))
+    unbudgeted = SolverConfig(seed=1)
+    failed = _run_one((str(tmp_path / "inst0.wcnf"), "S", unbudgeted))
+    assert failed.error.startswith("crash: ") and failed.config == asdict(unbudgeted)
+    for record in (solved, crashed, unreadable, failed):
         assert record.to_json() == json.dumps(asdict(record), sort_keys=True)
 
 

@@ -3,7 +3,8 @@
 The differential tests start both backends from one formula and seed (the
 kernel builds its own start state, Python runs decimation_init or
 random_init and builds a SearchState), compare every field of the state
-and the Mersenne Twister state, then advance both by the same random chunk
+and the Mersenne Twister state (the kernel's arrays read from its one
+buffer through st's pointers), then advance both by the same random chunk
 sizes, the way solve does, comparing again after each chunk. The parser tests
 compare kernel.parse with the Python parser on the texts that
 test_formula.py draws. The CLI tests run `solve` on a private copy of the
@@ -53,30 +54,31 @@ def lib():
 
 def assert_same_state(c: kernel.Walk, py: _PythonWalk) -> None:
     s, st = py.state, c.st
-    assert c.values.tolist() == s.values
-    assert c.flip_stamp.tolist() == s.flip_stamp
-    assert c.hscore.tolist() == s.hscore
-    assert c.softdelta.tolist() == s.softdelta
-    assert c.hard_weight.tolist() == s.hard_weight
-    for name, count, sat_var, fal in (
-            ("hard", s.sat_count_hard, s.sat_var_hard, s.falsified_hard),
-            ("soft", s.sat_count_soft, s.sat_var_soft, s.falsified_soft)):
-        arrays = c.kinds[name]
-        assert arrays["sat_count"].tolist() == count
-        assert arrays["sat_var"].tolist() == sat_var
-        assert arrays["falsified"][:getattr(st, name).num_falsified].tolist() == fal.members
-        assert arrays["falsified_pos"].tolist() == fal.pos
-    assert c.goodvars[:st.num_goodvars].tolist() == s.goodvars.members
-    assert c.goodvars_pos.tolist() == s.goodvars.pos
+    vars_ = st.num_vars + 1
+    assert c.view(st.values, "i", vars_).tolist() == s.values
+    assert c.view(st.flip_stamp, "q", vars_).tolist() == s.flip_stamp
+    assert c.view(st.hscore, "d", vars_).tolist() == s.hscore
+    assert c.view(st.softdelta, "q", vars_).tolist() == s.softdelta
+    assert c.view(st.hard_weight, "d", st.hard.num_clauses).tolist() == s.hard_weight
+    for k, count, sat_var, fal in (
+            (st.hard, s.sat_count_hard, s.sat_var_hard, s.falsified_hard),
+            (st.soft, s.sat_count_soft, s.sat_var_soft, s.falsified_soft)):
+        m = k.num_clauses
+        assert c.view(k.sat_count, "i", m).tolist() == count
+        assert c.view(k.sat_var, "i", m).tolist() == sat_var
+        assert c.view(k.falsified, "i", k.num_falsified).tolist() == fal.members
+        assert c.view(k.falsified_pos, "i", m).tolist() == fal.pos
+    assert c.view(st.goodvars, "i", st.num_goodvars).tolist() == s.goodvars.members
+    assert c.view(st.goodvars_pos, "i", vars_).tolist() == s.goodvars.pos
     assert (st.step, st.current_obj, st.max_hard_weight, st.spb_weight) == \
         (s.step, s.current_obj, s.max_hard_weight, s.spb.weight)
     assert c.cost() == py.cost()
-    assert tuple(c.mt) == py.rng.getstate()[1]
+    assert tuple(c.view(st.mt, "I", 625)) == py.rng.getstate()[1]
 
 
 def start_both(f: Formula, cfg: SolverConfig):
     """The kernel's start state and the Python body's, from one seed."""
-    c = kernel.start(f, cfg, random.Random(cfg.seed))
+    c = kernel.start(f, cfg)
     rng = random.Random(cfg.seed)
     values = decimation_init(f, rng) if cfg.init == "decimation" else random_init(f, rng)
     py = _PythonWalk(SearchState(f, values), cfg, rng)
@@ -85,12 +87,15 @@ def start_both(f: Formula, cfg: SolverConfig):
 
 
 def run_both(f: Formula, cfg: SolverConfig, flips: int,
-             chunk: Callable[[_PythonWalk], int]) -> int:
+             chunk: Callable[[_PythonWalk], int],
+             started: Callable[[kernel.Walk], None] = lambda c: None) -> int:
     """Advance both backends from one start through flips, in chunks of
     chunk(Python walk) flips, with solve's improvement bookkeeping between
-    chunks; returns the number of chunks compared."""
+    chunks; returns the number of chunks compared. started(kernel walk) is
+    called once both have started."""
     cfg = cfg.resolve(f)
     c, py = start_both(f, cfg)
+    started(c)
     best = float("inf")
     done = compared = 0
     while done < flips:
@@ -150,6 +155,90 @@ def test_bms_pick_matches_python_flip_by_flip(lib, k):
     assert {63, 64, 65} <= sizes, sorted(sizes)
 
 
+SEEDS = [0, 1, -1, -7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kernel_seeds_the_mersenne_twister_as_random_does(lib, seed):
+    """kn_setup ports CPython's random_seed: from abs(seed)'s 32-bit words,
+    one word or many, the state words and the index of Random(seed)."""
+    empty = Formula(0, [], [])  # random init draws nothing
+    walk = kernel.start(empty, SolverConfig(seed=seed, init="random", max_flips=0).resolve(empty))
+    assert tuple(walk.view(walk.st.mt, "I", 625)) == random.Random(seed).getstate()[1]
+    n, hard, soft = random_parts(random.Random(seed))
+    f = Formula(n, hard, soft)
+    for init in INITS:  # compares the words after each init's draws
+        start_both(f, SolverConfig(seed=seed, init=init, max_flips=0).resolve(f))
+
+
+@pytest.mark.parametrize("seed", [-3, 2**70 + 1])
+def test_kernel_matches_python_body_at_negative_and_wide_seeds(lib, seed):
+    rng = random.Random(f"seed-{seed}")
+    n, hard, soft = random_parts(rng, **INSTANCES["weighted-200"])
+    cfg = SolverConfig(seed=seed, decay_threshold=300, max_flips=3000)
+    assert run_both(Formula(n, hard, soft), cfg, 3000, lambda _: rng.randint(1, 700)) > 1
+
+
+def carved(walk: kernel.Walk):
+    """(address, bytes) of each array that kn_setup carves for walk, with
+    the length that the search uses."""
+    st, f = walk.st, walk.formula
+    vars_ = st.num_vars + 1
+    out = []
+    for k, clauses in ((st.hard, f.hard), (st.soft, f.soft)):
+        m = k.num_clauses
+        out += [(k.occ_off, 4 * (2 * vars_ + 1)), (k.occ, 4 * len(clauses.lits)),
+                (k.sat_count, 4 * m), (k.sat_var, 4 * m),
+                (k.falsified, 4 * m), (k.falsified_pos, 4 * m)]
+    touched = len(f.hard.lits) + len(f.soft.lits) + vars_
+    out += [(st.values, 4 * vars_), (st.flip_stamp, 8 * vars_), (st.hscore, 8 * vars_),
+            (st.softdelta, 8 * vars_), (st.hard_weight, 8 * st.hard.num_clauses),
+            (st.goodvars, 4 * vars_), (st.goodvars_pos, 4 * vars_), (st.mt, 4 * 625),
+            (st.touched, 4 * touched)]
+    return out
+
+
+def align64(address: int) -> int:
+    return (address + 63) & ~63
+
+
+_N, _HARD, _SOFT = random_parts(random.Random(11), **INSTANCES["weighted-200"])
+BUFFER_SHAPES = {"no soft clauses": (_N, _HARD, []),
+                 "no hard clauses": (_N, [], _SOFT),
+                 "variables in no clause": (_N + 3, _HARD, _SOFT)}
+
+
+@pytest.mark.parametrize("shape", sorted(BUFFER_SHAPES))
+@pytest.mark.parametrize("init", INITS)
+def test_kernel_carves_its_arrays_from_one_buffer(lib, shape, init):
+    """Each array starts at the first 64-byte boundary after the one before
+    (in address order): they are aligned, disjoint and no longer than the
+    search needs, plus padding. The buffer holds them all, with less than 64
+    bytes to spare. The padding stays zero through the setup and keeps a
+    marker through the run, so nothing is written beyond those lengths."""
+    f = Formula(*BUFFER_SHAPES[shape])
+    walks = []
+
+    def check_and_mark(c: kernel.Walk) -> None:
+        base, size = c._base, len(c.arena)
+        end, padding = base, []
+        for address, n in sorted(carved(c)):
+            assert address == align64(end)
+            padding.append((end - base, address - base))
+            end = address + n
+        assert end <= base + size < end + 64
+        padding.append((end - base, size))
+        for a, b in padding:
+            assert not any(c.arena[a:b])
+            c.arena[a:b] = b"\xa5" * (b - a)
+        walks.append((c, padding))
+
+    cfg = SolverConfig(init=init, seed=4, decay_threshold=300, max_flips=2000)
+    run_both(f, cfg, 2000, lambda _: 250, started=check_and_mark)
+    (c, padding), = walks
+    assert all(c.arena[a:b] == b"\xa5" * (b - a) for a, b in padding)
+
+
 # Many unit clauses: decimation's hard queue and soft draws do most of the work.
 UNIT_HEAVY = dict(min_vars=300, max_vars=300, min_clauses=900, max_clauses=900, max_weight=50)
 
@@ -182,9 +271,9 @@ def test_start_declines_counts_beyond_32_bits(lib, monkeypatch):
     n, hard, soft = random_parts(random.Random(1))
     f = Formula(n, hard, soft)
     cfg = SolverConfig(max_flips=10).resolve(f)
-    assert kernel.start(f, cfg, random.Random(1)) is not None
+    assert kernel.start(f, cfg) is not None
     monkeypatch.setattr(kernel, "INT32_MAX", n)
-    assert kernel.start(f, cfg, random.Random(1)) is None
+    assert kernel.start(f, cfg) is None
 
 
 def test_layer_split_counts_every_part_of_an_unchanged_run(lib):

@@ -243,6 +243,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, init="nope").resolve(f)
 
+    @pytest.mark.parametrize("seed", ["1", 1.0, None])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # random.Random takes each of these, but the kernel seeds from an
+        # int's words.
+        with pytest.raises(ConfigError, match="seed"):
+            SolverConfig(max_flips=1, seed=seed)
+        SolverConfig(max_flips=1, seed=-2**70)  # any int will do
+
     def test_decay_threshold_floor(self):
         f = Formula(2, [[1, 2]], [(1, [1]), (700, [2])])
         assert SolverConfig(max_flips=1, decay_threshold=300).resolve(f).decay_threshold == 1400
