@@ -8,7 +8,6 @@ stderr so stdout stays machine-parseable.
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import sys
 from dataclasses import fields
@@ -16,9 +15,7 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from . import kernel
-from .bench import format_report, run_benchmark
 from .formula import INF, load_wcnf
-from .oracle import brute_force_opt
 from .search import INITS, PRESETS, ConfigError, SolverConfig, solve
 from .weighting import MODES
 
@@ -107,6 +104,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import brute_force_opt
+
     formula = load_wcnf(args.file)
     cost, _witness = brute_force_opt(formula)
     if cost == INF:
@@ -116,7 +115,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def run_benchmark(*args, **kwargs):
+    """bench.run_benchmark, imported at the first call: bench loads logging,
+    which solve and oracle do without. cmd_bench calls it by this module
+    name, which perfbench's tracer wraps."""
+    from .bench import run_benchmark as run
+
+    return run(*args, **kwargs)
+
+
 def cmd_bench(args) -> int:
+    import json
+
+    from .bench import format_report
+
     kernel.load()  # before any run's clock starts; a pool's workers find it built
     configs = _parse_configs(args.config) if args.config else [("default", SolverConfig())]
     bkc = None

@@ -15,8 +15,13 @@
  *    the Python loops exactly, so floating-point sums round the same way
  *    (build with -ffp-contract=off: a fused multiply-add rounds once);
  *  - the same random numbers: CPython's MT19937, random() and
- *    randrange(), seeded as random.Random(seed) seeds it; the words of BMS
- *    samples that cannot change a pick are skipped, not left undrawn;
+ *    randrange(), seeded as random.Random(seed) seeds it (kn_seed, which
+ *    kernel.py calls once per seed); the words of BMS samples that cannot
+ *    change a pick are skipped, not left undrawn. The twist computes four
+ *    words at a time, and a pick from more than 64 candidates tempers and
+ *    converts four samples at a time, in 16-byte vectors of GCC's vector
+ *    extension, which clang shares (SSE2 on x86-64): the words and doubles
+ *    are those of one at a time;
  *  - the same types: hard weights, hscore and the SPB weight are doubles,
  *    soft weights, softdelta and the objective are int64.
  */
@@ -60,8 +65,7 @@ typedef struct {
     int64_t num_goodvars;
     int32_t *touched; /* scratch: total literals + num_vars + 1 entries */
     uint32_t *mt;     /* 624 state words, then the index */
-    const uint8_t *seed_key; /* abs(seed), little-endian, 4 * seed_words bytes */
-    int64_t seed_words;
+    const uint32_t *seeded;  /* the 625 words that kn_seed gives the seed */
     int64_t step, current_obj;
     int64_t has_bound, bound; /* the SPB bound: the best cost so far */
     double max_hard_weight, spb_weight;
@@ -74,30 +78,62 @@ typedef struct {
 #define MT_N 624
 #define MT_M 397
 
-/* The next 624 words, computed in place; the index goes back to 0. */
+/* Four 32-bit words in one SSE2 register (GCC's and clang's portable
+ * vector extension), loaded and stored unaligned. */
+typedef uint32_t u32x4 __attribute__((vector_size(16)));
+
+static inline u32x4 load4(const uint32_t *p)
+{
+    u32x4 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store4(uint32_t *p, u32x4 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* The twist of one word, from it, the next word and the word MT_M ahead
+ * (mod MT_N); -(y & 1) selects the matrix word without a branch or table. */
+static inline uint32_t twist1(uint32_t cur, uint32_t next, uint32_t far)
+{
+    uint32_t y = (cur & 0x80000000U) | (next & 0x7fffffffU);
+    return far ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+}
+
+/* twist1 of the four words at p, with the four at far. */
+static inline u32x4 twist4(const uint32_t *p, const uint32_t *far)
+{
+    u32x4 y = (load4(p) & 0x80000000U) | (load4(p + 1) & 0x7fffffffU);
+    return load4(far) ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+}
+
+/* The next 624 words, computed in place, four at a time; the index goes
+ * back to 0. Word kk reads the old words kk and kk + 1 and the word MT_M
+ * ahead mod MT_N, which is old below MT_N - MT_M and already new from there
+ * on. A step's four far words must be contiguous, so the steps stop short
+ * of MT_N - MT_M, where the far word wraps to the start, and of the last
+ * word, whose next word is the new mt[0]. */
 static void mt_twist(uint32_t *mt)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    int kk;
-    for (kk = 0; kk < MT_N - MT_M; kk++) {
-        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-    }
-    for (; kk < MT_N - 1; kk++) {
-        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-    }
-    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    int kk = 0;
+    for (; kk + 4 <= MT_N - MT_M; kk += 4)
+        store4(mt + kk, twist4(mt + kk, mt + kk + MT_M));
+    for (; kk < MT_N - MT_M; kk++)
+        mt[kk] = twist1(mt[kk], mt[kk + 1], mt[kk + MT_M]);
+    for (; kk + 4 <= MT_N - 1; kk += 4)
+        store4(mt + kk, twist4(mt + kk, mt + kk + (MT_M - MT_N)));
+    mt[MT_N - 1] = twist1(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
     mt[MT_N] = 0;
 }
 
-/* CPython's random_seed for an int seed (init_genrand and init_by_array):
- * the key is the 32-bit words of abs(seed), least significant first, read
- * from its little-endian bytes. The index is left at MT_N, so the first
- * draw twists. */
-static void mt_seed(uint32_t *mt, const uint8_t *key, int64_t words)
+/* CPython's random_seed for an int seed (init_genrand and init_by_array),
+ * into the 625 words at mt: the key is the 32-bit words of abs(seed), least
+ * significant first, read from its little-endian bytes. The index is left
+ * at MT_N, so the first draw twists. kernel.py calls it once per seed and
+ * hands kn_setup the words. */
+void kn_seed(uint32_t *mt, const uint8_t *key, int64_t words)
 {
     mt[0] = 19650218U;
     for (uint32_t n = 1; n < MT_N; n++)
@@ -129,6 +165,16 @@ static void mt_seed(uint32_t *mt, const uint8_t *key, int64_t words)
 }
 
 static inline uint32_t temper(uint32_t y)
+{
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* temper of four words */
+static inline u32x4 temper4(u32x4 y)
 {
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
@@ -339,6 +385,31 @@ static inline double random01_at(uint32_t *mt, uint32_t *idx)
     return r;
 }
 
+/* members[floor(x)] for x = random() * n, a sample as random.choices takes
+ * it, with its scores prefetched. */
+static inline int32_t take(const kstate *s, double x)
+{
+    int32_t u = s->goodvars[(int64_t)x];
+    __builtin_prefetch(&s->hscore[u]);
+    __builtin_prefetch(&s->softdelta[u]);
+    return u;
+}
+
+typedef uint64_t u64x2 __attribute__((vector_size(16)));
+typedef double f64x2 __attribute__((vector_size(16)));
+_Static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__, "draws2 reads word pairs as 64-bit lanes");
+
+/* to_double(a, b) * dn for the two word pairs (a, b) of w, tempered, in one
+ * vector: a 64-bit lane holds a | b << 32, and a 52-bit integer x in the
+ * mantissa of 2^52 is the double 2^52 + x, so both parts convert exactly. */
+static inline f64x2 draws2(u32x4 w, double dn)
+{
+    u64x2 lanes = (u64x2)temper4(w), exp52 = (u64x2){0x4330000000000000U, 0x4330000000000000U};
+    f64x2 a = (f64x2)(((lanes & 0xffffffffU) >> 5) | exp52) - 0x1p52;
+    f64x2 b = (f64x2)((lanes >> 38) | exp52) - 0x1p52;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) * dn;
+}
+
 #define BMS_BATCH 128 /* samples drawn and prefetched before they are scored */
 
 /* search.bms_pick: the best of k members sampled with replacement, each as
@@ -355,7 +426,11 @@ static inline double random01_at(uint32_t *mt, uint32_t *idx)
  *    the words of the rest are skipped untempered (mt_skip), and each
  *    member is scored once.
  *  - n > 64: the samples are drawn a batch at a time with the MT index in a
- *    local and their hscore and softdelta prefetched, then compared. */
+ *    local and their hscore and softdelta prefetched, then compared. Four
+ *    samples at a time temper and convert their eight words in vectors
+ *    while those lie before the next twist; next to the twist, and for the
+ *    last one to three samples of a batch, they draw one at a time
+ *    (random01_at, which twists). */
 static int32_t bms_pick(kstate *s)
 {
     const int32_t *members = s->goodvars;
@@ -378,14 +453,20 @@ static int32_t bms_pick(kstate *s)
     }
     int32_t batch[BMS_BATCH];
     while (i < k) {
-        int64_t m = k - i < BMS_BATCH ? k - i : BMS_BATCH;
-        for (int64_t j = 0; j < m; j++) {
-            int32_t u = members[(int64_t)(random01_at(mt, &idx) * dn)];
-            __builtin_prefetch(&s->hscore[u]);
-            __builtin_prefetch(&s->softdelta[u]);
-            batch[j] = u;
+        int64_t m = k - i < BMS_BATCH ? k - i : BMS_BATCH, j = 0;
+        while (j < m) {
+            if (m - j >= 4 && idx <= MT_N - 8) {
+                f64x2 a = draws2(load4(mt + idx), dn), b = draws2(load4(mt + idx + 4), dn);
+                idx += 8;
+                batch[j++] = take(s, a[0]);
+                batch[j++] = take(s, a[1]);
+                batch[j++] = take(s, b[0]);
+                batch[j++] = take(s, b[1]);
+            } else {
+                batch[j++] = take(s, random01_at(mt, &idx) * dn);
+            }
         }
-        for (int64_t j = 0; j < m; j++)
+        for (j = 0; j < m; j++)
             consider(s, batch[j], &best, &best_s);
         i += m;
     }
@@ -668,11 +749,11 @@ static uintptr_t carve(kstate *s, uintptr_t at)
 /* The start state of solve. With arena NULL, returns the bytes that an
  * arena must have. Otherwise carves every array from arena, which must be
  * that long and zeroed, then builds: the hard weights (1), the Mersenne
- * Twister from the seed key, the occurrence lists, the initial assignment
- * (decimation or random, drawing from mt), then what SearchState's build
- * computes from it, in the same order; returns 0. Expects the scalar
- * fields, the seed key, current_obj (the soft base) and each kind's
- * num_clauses, lits and off set. */
+ * Twister (a copy of the seeded words), the occurrence lists, the initial
+ * assignment (decimation or random, drawing from mt), then what
+ * SearchState's build computes from it, in the same order; returns 0.
+ * Expects the scalar fields, the seeded words, current_obj (the soft base)
+ * and each kind's num_clauses, lits and off set. */
 int64_t kn_setup(kstate *s, void *arena)
 {
     if (!arena) {
@@ -684,7 +765,7 @@ int64_t kn_setup(kstate *s, void *arena)
         s->hard_weight[cid] = 1.0;
     s->step = 1;
     s->max_hard_weight = s->spb_weight = 1.0;
-    mt_seed(s->mt, s->seed_key, s->seed_words);
+    memcpy(s->mt, s->seeded, (MT_N + 1) * sizeof *s->mt);
     build_occ(&s->hard, s->num_vars);
     build_occ(&s->soft, s->num_vars);
     if (s->decimation)

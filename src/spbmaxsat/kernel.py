@@ -17,10 +17,10 @@ solve and bench call load() before they start their clocks.
 parse() reads WCNF bytes into the arrays of two Clauses, or declines and
 leaves the text to the Python parser; it uses a library that is built
 already and never compiles one. start() hands the kernel the formula's own
-clause arrays and the seed's words, and one zeroed buffer that the kernel
-carves its arrays from; the kernel seeds its Mersenne Twister as
-random.Random(seed) does and builds the initial assignment and the search
-state.
+clause arrays, the Mersenne Twister words of the seed (which the kernel
+computes once per seed, as random.Random(seed) does) and one zeroed buffer
+that the kernel carves its arrays from; the kernel copies the words and
+builds the initial assignment and the search state.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
 and layer_split() times its parts.
 """
@@ -51,6 +51,7 @@ _TEXT = SOURCE.read_bytes()  # read once: the cache key and the layout come from
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-DEPS={EPS!r}",
          f"-DDECAY_FACTOR={DECAY_FACTOR!r}", f"-DMAX_VARS={MAX_VARS}")
 INT32_MAX = 2**31 - 1
+MT_WORDS = 625  # the Mersenne Twister's 624 state words and its index
 
 _SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
@@ -148,11 +149,25 @@ def load() -> Optional[ctypes.CDLL]:
     lib.kn_advance.restype = _I
     lib.kn_parse.argtypes = [ctypes.c_char_p, _I, _I, ctypes.POINTER(_Parsed)]
     lib.kn_parse.restype = _I
+    lib.kn_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p, _I]
+    lib.kn_seed.restype = None
     return lib
 
 
 def _zeros(code: str, n: int) -> array:
     return array(code, [0]) * n
+
+
+@functools.lru_cache(maxsize=64)  # suite runs start hundreds of walks from one seed
+def _seeded(lib: ctypes.CDLL, seed: int) -> array:
+    """The 625 Mersenne Twister words (state, then index) that kernel.c's
+    kn_seed computes from the 32-bit words of abs(seed), as random.Random(seed)
+    does. Shared between walks: kn_setup copies them and nothing writes them."""
+    seed = abs(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    mt = _zeros("I", MT_WORDS)
+    lib.kn_seed(mt.buffer_info()[0], seed.to_bytes(4 * words, "little"), words)
+    return mt
 
 
 def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
@@ -189,8 +204,8 @@ class Walk:
     The clause literals, offsets and soft weights are the formula's own
     arrays, read in place. Every other array of the kernel's state lives in
     one zeroed bytearray, arena: kn_setup first returns its size, then
-    carves the arrays from it, each at a 64-byte boundary, seeds the
-    Mersenne Twister from cfg.seed as random.Random does, and builds the
+    carves the arrays from it, each at a 64-byte boundary, copies in the
+    Mersenne Twister words that cfg.seed gives (see _seeded), and builds the
     start state, the start assignment included. st's pointer fields locate
     each array; view() reads one.
     """
@@ -199,14 +214,12 @@ class Walk:
         f = self.formula = formula  # keeps the clause arrays alive
         self._lib = lib
         hard_delta, spb_delta = mode_deltas(cfg)
-        seed = abs(cfg.seed)
-        words = max(1, -(-seed.bit_length() // 32))
-        self._seed = array("B", seed.to_bytes(4 * words, "little"))
+        self._seeded = _seeded(lib, cfg.seed)
         self.st = st = _State(num_vars=f.num_vars, k=cfg.k, decimation=cfg.init == "decimation",
                               h_inc=cfg.h_inc, hard_delta=hard_delta, spb_delta=spb_delta,
                               decay_threshold=cfg.decay_threshold, current_obj=f.soft_base,
                               soft_weight=f.soft_weights.buffer_info()[0],
-                              seed_key=self._seed.buffer_info()[0], seed_words=words)
+                              seeded=self._seeded.buffer_info()[0])
         for kind, clauses in ((st.hard, f.hard), (st.soft, f.soft)):
             kind.num_clauses = len(clauses)
             kind.lits = clauses.lits.buffer_info()[0]
@@ -226,8 +239,14 @@ class Walk:
         """The objective if no hard clause is falsified, inf otherwise."""
         return INF if self.st.hard.num_falsified else self.st.current_obj
 
-    def assignment(self) -> List[int]:
-        return self._values.tolist()
+    def snapshot(self) -> bytes:
+        """A copy of the current assignment: the kernel's int32 values."""
+        return self._values.tobytes()
+
+    @staticmethod
+    def assignment(snapshot: bytes) -> List[int]:
+        """The assignment list (index 0 unused) of a snapshot."""
+        return memoryview(snapshot).cast("i").tolist()
 
     def set_bound(self, cost) -> None:
         """Set the SPB bound (the best cost so far; inf before the first)."""

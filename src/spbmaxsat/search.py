@@ -26,6 +26,10 @@ TERM_OPTIMUM = "optimum"
 TERM_INFEASIBLE = "infeasible"
 
 
+# bitstring's map from the bytes 0 and 1 to the characters "0" and "1".
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -127,7 +131,7 @@ class SolveResult:
 
     def bitstring(self) -> str:
         assert self.best_assignment is not None
-        return "".join(str(b) for b in self.best_assignment[1:])
+        return bytes(self.best_assignment[1:]).translate(_DIGITS).decode("ascii")
 
 
 def _best(state: SearchState, candidates) -> int:
@@ -186,8 +190,13 @@ class _PythonWalk:
         """The objective if no hard clause is falsified, inf otherwise."""
         return INF if self.state.falsified_hard.members else self.state.current_obj
 
-    def assignment(self) -> List[int]:
+    def snapshot(self) -> List[int]:
+        """A copy of the current assignment."""
         return list(self.state.values)
+
+    @staticmethod
+    def assignment(snapshot: List[int]) -> List[int]:
+        return snapshot
 
     def set_bound(self, cost) -> None:
         update_spb_bound(self.state.spb, cost)
@@ -243,7 +252,7 @@ def solve(
         walk = _PythonWalk(SearchState(formula, values), cfg, rng)
 
     best_cost = INF
-    best_values: Optional[List[int]] = None
+    best_snapshot = None  # walk.snapshot() at the best cost: a list only at the end
     trace: List[Tuple[int, float, int]] = []
     max_flips = cfg.max_flips
     cutoff = cfg.cutoff_seconds
@@ -255,7 +264,7 @@ def solve(
         cost = walk.cost()
         if cost < best_cost:
             best_cost = cost
-            best_values = walk.assignment()
+            best_snapshot = walk.snapshot()
             trace.append((flips, perf_counter() - t0, best_cost))
             walk.set_bound(best_cost)
             if on_improvement is not None:
@@ -282,4 +291,5 @@ def solve(
             break
 
     backend = "c" if isinstance(walk, kernel.Walk) else "python"
+    best_values = None if best_snapshot is None else walk.assignment(best_snapshot)
     return SolveResult(best_values, best_cost, trace, flips, termination, cfg, backend)

@@ -54,3 +54,15 @@ def test_package_loads_only_stdlib_modules():
     loaded = set(json.loads(out)) - {"__mp_main__"}
     assert "spbmaxsat" in loaded
     assert loaded - set(sys.stdlib_module_names) - {"spbmaxsat"} == set()
+
+
+def test_cli_import_loads_neither_bench_nor_logging():
+    """solve and oracle need neither: bench, which loads logging, is
+    imported when the bench command runs."""
+    code = ("import sys; before = set(sys.modules); import spbmaxsat.cli; "
+            "print(sorted({'logging', 'spbmaxsat.bench'} & (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -73,7 +73,7 @@ def assert_same_state(c: kernel.Walk, py: _PythonWalk) -> None:
     assert (st.step, st.current_obj, st.max_hard_weight, st.spb_weight) == \
         (s.step, s.current_obj, s.max_hard_weight, s.spb.weight)
     assert c.cost() == py.cost()
-    assert tuple(c.view(st.mt, "I", 625)) == py.rng.getstate()[1]
+    assert tuple(c.view(st.mt, "I", kernel.MT_WORDS)) == py.rng.getstate()[1]
 
 
 def start_both(f: Formula, cfg: SolverConfig):
@@ -88,14 +88,14 @@ def start_both(f: Formula, cfg: SolverConfig):
 
 def run_both(f: Formula, cfg: SolverConfig, flips: int,
              chunk: Callable[[_PythonWalk], int],
-             started: Callable[[kernel.Walk], None] = lambda c: None) -> int:
+             started: Callable[[kernel.Walk, _PythonWalk], None] = lambda c, py: None) -> int:
     """Advance both backends from one start through flips, in chunks of
     chunk(Python walk) flips, with solve's improvement bookkeeping between
-    chunks; returns the number of chunks compared. started(kernel walk) is
-    called once both have started."""
+    chunks; returns the number of chunks compared. started(kernel walk,
+    Python walk) is called once both have started."""
     cfg = cfg.resolve(f)
     c, py = start_both(f, cfg)
-    started(c)
+    started(c, py)
     best = float("inf")
     done = compared = 0
     while done < flips:
@@ -155,20 +155,44 @@ def test_bms_pick_matches_python_flip_by_flip(lib, k):
     assert {63, 64, 65} <= sizes, sorted(sizes)
 
 
+@pytest.mark.parametrize("index", [616, 618, 620, 622])
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 97, 128, 129])
+def test_bms_pick_draws_across_a_twist(lib, k, index):
+    """The first pick samples more than 64 members from MT index `index`, so
+    that its draws reach the twist four samples (eight words) at a time, one
+    at a time or both, in a batch or in the tail after one; later picks meet
+    twists where the stream puts them. Each flip compares the pick (the
+    flipped variable), the MT words and the state with the Python body."""
+    def at_index(c: kernel.Walk, py: _PythonWalk) -> None:
+        assert c.st.num_goodvars > 64
+        mt = c.view(c.st.mt, "I", kernel.MT_WORDS)
+        mt[-1] = index
+        py.rng.setstate((3, tuple(mt), None))
+
+    rng = random.Random(f"twist-{k}-{index}")
+    n, hard, soft = random_parts(rng, min_vars=400, max_vars=400, min_clauses=1600,
+                                 max_clauses=1600, max_weight=1000)
+    cfg = SolverConfig(k=k, init="random", seed=index, decay_threshold=300, max_flips=40)
+    assert run_both(Formula(n, hard, soft), cfg, 40, lambda _: 1, started=at_index) == 40
+
+
 SEEDS = [0, 1, -1, -7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kernel_seeds_the_mersenne_twister_as_random_does(lib, seed):
-    """kn_setup ports CPython's random_seed: from abs(seed)'s 32-bit words,
-    one word or many, the state words and the index of Random(seed)."""
+    """kn_seed ports CPython's random_seed: from abs(seed)'s 32-bit words,
+    one word or many, the state words and the index of Random(seed). The
+    walks of a seed share its words, which none of them changes."""
+    words = random.Random(seed).getstate()[1]
     empty = Formula(0, [], [])  # random init draws nothing
     walk = kernel.start(empty, SolverConfig(seed=seed, init="random", max_flips=0).resolve(empty))
-    assert tuple(walk.view(walk.st.mt, "I", 625)) == random.Random(seed).getstate()[1]
+    assert tuple(walk.view(walk.st.mt, "I", kernel.MT_WORDS)) == words
     n, hard, soft = random_parts(random.Random(seed))
     f = Formula(n, hard, soft)
     for init in INITS:  # compares the words after each init's draws
         start_both(f, SolverConfig(seed=seed, init=init, max_flips=0).resolve(f))
+    assert tuple(kernel._seeded(lib, seed)) == words
 
 
 @pytest.mark.parametrize("seed", [-3, 2**70 + 1])
@@ -193,7 +217,8 @@ def carved(walk: kernel.Walk):
     touched = len(f.hard.lits) + len(f.soft.lits) + vars_
     out += [(st.values, 4 * vars_), (st.flip_stamp, 8 * vars_), (st.hscore, 8 * vars_),
             (st.softdelta, 8 * vars_), (st.hard_weight, 8 * st.hard.num_clauses),
-            (st.goodvars, 4 * vars_), (st.goodvars_pos, 4 * vars_), (st.mt, 4 * 625),
+            (st.goodvars, 4 * vars_), (st.goodvars_pos, 4 * vars_),
+            (st.mt, 4 * kernel.MT_WORDS),
             (st.touched, 4 * touched)]
     return out
 
@@ -219,7 +244,7 @@ def test_kernel_carves_its_arrays_from_one_buffer(lib, shape, init):
     f = Formula(*BUFFER_SHAPES[shape])
     walks = []
 
-    def check_and_mark(c: kernel.Walk) -> None:
+    def check_and_mark(c: kernel.Walk, _py) -> None:
         base, size = c._base, len(c.arena)
         end, padding = base, []
         for address, n in sorted(carved(c)):

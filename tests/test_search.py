@@ -12,6 +12,7 @@ from spbmaxsat.oracle import brute_force_opt
 from spbmaxsat.search import (
     ConfigError,
     PRESETS,
+    SolveResult,
     SolverConfig,
     bms_pick,
     pick_from_falsified,
@@ -210,6 +211,13 @@ class TestSolve:
     def test_random_init_mode(self):
         result = solve(F1, SolverConfig(max_flips=5_000, seed=1, init="random"))
         assert result.best_cost == 2
+
+    @pytest.mark.parametrize("n", [0, 1, 20_000])
+    def test_bitstring_is_one_digit_per_variable(self, n):
+        rng = random.Random(n)
+        model = [0] + [rng.randint(0, 1) for _ in range(n)]
+        result = SolveResult(model, 0, [], 0, "flips", SolverConfig())
+        assert result.bitstring() == "".join(str(b) for b in model[1:])
 
 
 class TestConfig:
