@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,24 +18,27 @@ log = logging.getLogger(__name__)
 WCNF_SUFFIXES = (".wcnf", ".cnf", ".dimacs")
 
 
-@dataclass
 class RunRecord:
-    """One (config, instance) execution, as persisted to runs.jsonl."""
+    """One (config, instance) execution, as persisted to runs.jsonl: its
+    attributes are the JSON object's keys."""
 
-    instance: str
-    label: str
-    config: dict
-    best_cost: Optional[int]
-    time_to_best: Optional[float]
-    trace: List[Tuple[int, float, int]]
-    flips: int
-    termination: str
-    wall_time: float
-    error: Optional[str] = None
-    skipped: bool = False
+    def __init__(self, instance: str, label: str, config: dict, best_cost: Optional[int],
+                 time_to_best: Optional[float], trace: List[Tuple[int, float, int]],
+                 flips: int, termination: str, wall_time: float,
+                 error: Optional[str] = None, skipped: bool = False):
+        self.instance = instance
+        self.label = label
+        self.config = config
+        self.best_cost = best_cost
+        self.time_to_best = time_to_best
+        self.trace = trace
+        self.flips = flips
+        self.termination = termination
+        self.wall_time = wall_time
+        self.error = error
+        self.skipped = skipped
 
     def to_json(self) -> str:
-        # vars, not asdict: asdict deep-copies the config and the trace.
         return json.dumps(vars(self), sort_keys=True)
 
 
@@ -79,7 +81,7 @@ def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
                          perf_counter() - t0, error=f"unreadable: {exc}", skipped=True)
     if cfg.cutoff_seconds is not None:
         # The time limit covers parsing: the search gets what is left.
-        cfg = replace(cfg, cutoff_seconds=max(0.0, cfg.cutoff_seconds - (perf_counter() - t0)))
+        cfg = cfg.replace(cutoff_seconds=max(0.0, cfg.cutoff_seconds - (perf_counter() - t0)))
     try:
         result: SolveResult = solve(formula, cfg)
     except Exception as exc:  # a crashed run scores as no-feasible
@@ -89,7 +91,7 @@ def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
     return RunRecord(
         instance=path,
         label=label,
-        config=dict(vars(result.config)),  # not asdict: it deep-copies
+        config=dict(vars(result.config)),
         best_cost=int(result.best_cost) if feasible else None,
         time_to_best=result.trace[-1][1] if feasible else None,
         trace=list(result.trace),
@@ -202,7 +204,7 @@ def run_benchmark(
         for path in instances:
             job_cfg = cfg
             if time_limit is not None and cfg.cutoff_seconds is None and cfg.max_flips is None:
-                job_cfg = replace(cfg, cutoff_seconds=time_limit)
+                job_cfg = cfg.replace(cutoff_seconds=time_limit)
             jobs.append((path, label, job_cfg))
 
     if parallelism > 1 and len(jobs) > 1:

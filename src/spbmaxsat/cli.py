@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-from dataclasses import fields
 from time import perf_counter
 from typing import List, Optional, Tuple
 
@@ -37,7 +36,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> SolverConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if hasattr(args, f.name)}
+    given = {name: getattr(args, name) for name in SolverConfig.FIELDS if hasattr(args, name)}
     if "mode" in given:
         given["mode"] = given["mode"].replace("-", "_")
     return SolverConfig(**given)

@@ -19,8 +19,10 @@ leaves the text to the Python parser; it uses a library that is built
 already and never compiles one. start() hands the kernel the formula's own
 clause arrays, the Mersenne Twister words of the seed (which the kernel
 computes once per seed, as random.Random(seed) does) and one zeroed buffer
-that the kernel carves its arrays from; the kernel copies the words and
-builds the initial assignment and the search state.
+that the kernel carves its arrays from (an anonymous mmap from ARENA_MMAP
+bytes on, whose pages the OS zeroes when they are first written); the
+kernel copies the words and builds the initial assignment and the search
+state.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
 and layer_split() times its parts.
 """
@@ -30,6 +32,7 @@ import contextlib
 import ctypes
 import functools
 import importlib.machinery
+import mmap
 import os
 import re
 import shlex
@@ -52,6 +55,12 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-DEPS={EPS!r}",
          f"-DDECAY_FACTOR={DECAY_FACTOR!r}", f"-DMAX_VARS={MAX_VARS}")
 INT32_MAX = 2**31 - 1
 MT_WORDS = 625  # the Mersenne Twister's 624 state words and its index
+# An arena this large or larger is an anonymous mmap, zeroed page by page on
+# first touch, so that pages the search never writes (much of the touched
+# scratch, the falsified sets' tails) cost no memory. A smaller one is a
+# bytearray: a 3 KB mmap takes about 12 us to make and write once, a
+# bytearray 0.2 us, and a suite of small solves makes hundreds of walks.
+ARENA_MMAP = 1 << 20
 
 _SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
@@ -154,6 +163,11 @@ def load() -> Optional[ctypes.CDLL]:
     return lib
 
 
+# Whether load() has run in this process: then parse need not stat the
+# library. Bound here, so that a test that replaces load still reads it.
+_load_calls = load.cache_info
+
+
 def _zeros(code: str, n: int) -> array:
     return array(code, [0]) * n
 
@@ -176,7 +190,7 @@ def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
     kernel is not built, did not load or kn_parse declines (on any error,
     for one). A parse never compiles the kernel: a process that only reads
     instances (the oracle) runs no compiler."""
-    lib = load() if library_path().exists() else None
+    lib = load() if _load_calls().currsize or library_path().exists() else None
     out = _Parsed()
     if lib is None or lib.kn_parse(data, len(data), 0, out):  # checks and counts
         return None
@@ -203,11 +217,12 @@ class Walk:
 
     The clause literals, offsets and soft weights are the formula's own
     arrays, read in place. Every other array of the kernel's state lives in
-    one zeroed bytearray, arena: kn_setup first returns its size, then
-    carves the arrays from it, each at a 64-byte boundary, copies in the
-    Mersenne Twister words that cfg.seed gives (see _seeded), and builds the
-    start state, the start assignment included. st's pointer fields locate
-    each array; view() reads one.
+    one zeroed buffer, arena (a bytearray, or an mmap from ARENA_MMAP bytes
+    on): kn_setup first returns its size, then carves the arrays from it,
+    each at a 64-byte boundary, copies in the Mersenne Twister words that
+    cfg.seed gives (see _seeded), and builds the start state, the start
+    assignment included. st's pointer fields locate each array; view()
+    reads one.
     """
 
     def __init__(self, lib: ctypes.CDLL, formula: Formula, cfg):
@@ -224,7 +239,8 @@ class Walk:
             kind.num_clauses = len(clauses)
             kind.lits = clauses.lits.buffer_info()[0]
             kind.off = clauses.off.buffer_info()[0]
-        self.arena = bytearray(lib.kn_setup(st, None))
+        size = lib.kn_setup(st, None)
+        self.arena = mmap.mmap(-1, size) if size >= ARENA_MMAP else bytearray(size)
         self._base = ctypes.addressof(ctypes.c_char.from_buffer(self.arena))
         lib.kn_setup(st, self._base)
         self._values = self.view(st.values, "i", f.num_vars + 1)

@@ -3,7 +3,6 @@ best-solution tracking, and soft-conflict bound updates."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
@@ -34,7 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class SolverConfig:
     """Solver parameters; None fields are filled in from the preset.
 
@@ -51,18 +49,25 @@ class SolverConfig:
     soft gain, and the search stops improving.
     """
 
-    k: Optional[int] = None
-    h_inc: Optional[float] = None
-    delta: Optional[float] = None
-    mode: str = MODE_SPB
-    decay_threshold: float = 1e7
-    cutoff_seconds: Optional[float] = None
-    max_flips: Optional[int] = None
-    seed: int = 1
-    init: str = "decimation"
-    preset: str = "auto"
+    # The fields, in constructor order: the CLI has one flag per field.
+    FIELDS = ("k", "h_inc", "delta", "mode", "decay_threshold", "cutoff_seconds",
+              "max_flips", "seed", "init", "preset")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: Optional[int] = None, h_inc: Optional[float] = None,
+                 delta: Optional[float] = None, mode: str = MODE_SPB,
+                 decay_threshold: float = 1e7, cutoff_seconds: Optional[float] = None,
+                 max_flips: Optional[int] = None, seed: int = 1, init: str = "decimation",
+                 preset: str = "auto"):
+        self.k = k
+        self.h_inc = h_inc
+        self.delta = delta
+        self.mode = mode
+        self.decay_threshold = decay_threshold
+        self.cutoff_seconds = cutoff_seconds
+        self.max_flips = max_flips
+        self.seed = seed
+        self.init = init
+        self.preset = preset
         if self.preset != "auto" and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.mode not in MODES:
@@ -87,6 +92,13 @@ class SolverConfig:
         if self.max_flips is not None and not self.max_flips >= 0:
             raise ConfigError("max_flips must be >= 0")
 
+    def __repr__(self) -> str:
+        return f"SolverConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def replace(self, **changes) -> "SolverConfig":
+        """A copy with the given fields changed, checked as a new config is."""
+        return SolverConfig(**{**vars(self), **changes})
+
     def resolve(self, formula: Formula) -> "SolverConfig":
         """A copy with the budget checked, the preset's values filled in and
         the decay floor applied."""
@@ -96,8 +108,7 @@ class SolverConfig:
         if preset == "auto":
             preset = "pms" if formula.is_pms else "wpms"
         pk, ph, pd = PRESETS[preset]
-        return replace(
-            self,
+        return self.replace(
             k=self.k if self.k is not None else pk,
             h_inc=self.h_inc if self.h_inc is not None else ph,
             delta=self.delta if self.delta is not None else pd,
@@ -106,7 +117,6 @@ class SolverConfig:
         )
 
 
-@dataclass
 class SolveResult:
     """Outcome of one solver run.
 
@@ -117,13 +127,16 @@ class SolveResult:
     both ran in Python.
     """
 
-    best_assignment: Optional[List[int]]
-    best_cost: float
-    trace: List[Tuple[int, float, int]]
-    flips: int
-    termination: str
-    config: SolverConfig
-    backend: str = "python"
+    def __init__(self, best_assignment: Optional[List[int]], best_cost: float,
+                 trace: List[Tuple[int, float, int]], flips: int, termination: str,
+                 config: SolverConfig, backend: str = "python"):
+        self.best_assignment = best_assignment
+        self.best_cost = best_cost
+        self.trace = trace
+        self.flips = flips
+        self.termination = termination
+        self.config = config
+        self.backend = backend
 
     @property
     def feasible(self) -> bool:

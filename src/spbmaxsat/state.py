@@ -7,7 +7,6 @@ rebuild below serves as the independent correctness oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from .formula import INF, Formula
@@ -16,7 +15,6 @@ from .formula import INF, Formula
 EPS = 1e-9
 
 
-@dataclass
 class SpbConstraint:
     """Soft-conflict pseudo-Boolean constraint: obj(A) < bound, with weight.
 
@@ -25,8 +23,9 @@ class SpbConstraint:
     score.
     """
 
-    weight: float = 1.0
-    bound: float = INF
+    def __init__(self, weight: float = 1.0, bound: float = INF):
+        self.weight = weight
+        self.bound = bound
 
 
 class IndexSet:

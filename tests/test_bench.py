@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
 
 import pytest
 
@@ -68,18 +67,25 @@ def test_record_json_is_the_asdict_json(tmp_path):
     (tmp_path / "bad.wcnf").write_text("p wcnf nope\n")
     cfg = SolverConfig(max_flips=500, seed=1)
     solved = _run_one((str(tmp_path / "inst0.wcnf"), "S", cfg))
-    crashed = RunRecord("x.wcnf", "S", asdict(cfg), None, None, [], 0, "error", 0.1,
+    crashed = RunRecord("x.wcnf", "S", vars(cfg), None, None, [], 0, "error", 0.1,
                         error="crash: boom")
     unreadable = _run_one((str(tmp_path / "bad.wcnf"), "S", cfg))
     assert solved.trace and unreadable.error
-    # The record's config is the asdict of the run's config: the resolved
+    # The record's config is the vars of the run's config: the resolved
     # one, or the one given when solve raises (here: no budget).
-    assert solved.config == asdict(cfg.resolve(load_wcnf(tmp_path / "inst0.wcnf")))
+    assert solved.config == vars(cfg.resolve(load_wcnf(tmp_path / "inst0.wcnf")))
     unbudgeted = SolverConfig(seed=1)
     failed = _run_one((str(tmp_path / "inst0.wcnf"), "S", unbudgeted))
-    assert failed.error.startswith("crash: ") and failed.config == asdict(unbudgeted)
+    assert failed.error.startswith("crash: ") and failed.config == vars(unbudgeted)
     for record in (solved, crashed, unreadable, failed):
-        assert record.to_json() == json.dumps(asdict(record), sort_keys=True)
+        assert record.to_json() == json.dumps(vars(record), sort_keys=True)
+
+
+def test_record_keys_are_the_runs_jsonl_keys():
+    record = RunRecord("a", "S", {}, 2, 0.1, [], 1, "flips", 0.1)
+    assert sorted(json.loads(record.to_json())) == [
+        "best_cost", "config", "error", "flips", "instance", "label", "skipped",
+        "termination", "time_to_best", "trace", "wall_time"]
 
 
 class TestRunBenchmark:

@@ -56,13 +56,25 @@ def test_package_loads_only_stdlib_modules():
     assert loaded - set(sys.stdlib_module_names) - {"spbmaxsat"} == set()
 
 
-def test_cli_import_loads_neither_bench_nor_logging():
-    """solve and oracle need neither: bench, which loads logging, is
-    imported when the bench command runs."""
+def cli_import_loads(*modules: str) -> list:
+    """Which of modules a fresh `import spbmaxsat.cli` loads."""
     code = ("import sys; before = set(sys.modules); import spbmaxsat.cli; "
-            "print(sorted({'logging', 'spbmaxsat.bench'} & (set(sys.modules) - before)))")
+            f"found = sorted({set(modules)!r} & (set(sys.modules) - before)); "
+            "import json; print(json.dumps(found))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+def test_cli_import_loads_neither_bench_nor_logging():
+    """solve and oracle need neither: bench, which loads logging, is
+    imported when the bench command runs."""
+    assert cli_import_loads("logging", "spbmaxsat.bench") == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
+    """The package's records are plain classes: dataclasses would load
+    inspect, ast, dis and tokenize. The oracle loads at its first use."""
+    assert cli_import_loads("dataclasses", "inspect", "spbmaxsat.oracle") == []

@@ -12,6 +12,7 @@ package, so that they control its build cache.
 """
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import shutil
@@ -241,6 +242,20 @@ def test_kernel_carves_its_arrays_from_one_buffer(lib, shape, init):
     search needs, plus padding. The buffer holds them all, with less than 64
     bytes to spare. The padding stays zero through the setup and keeps a
     marker through the run, so nothing is written beyond those lengths."""
+    assert type(check_carving(shape, init)) is bytearray  # below ARENA_MMAP
+
+
+@pytest.mark.parametrize("shape", sorted(BUFFER_SHAPES))
+@pytest.mark.parametrize("init", INITS)
+def test_kernel_carves_its_arrays_from_an_mmap_arena(lib, shape, init, monkeypatch):
+    """The same on the arena of a large instance: an anonymous mmap."""
+    monkeypatch.setattr(kernel, "ARENA_MMAP", 0)
+    assert type(check_carving(shape, init)) is mmap.mmap
+
+
+def check_carving(shape: str, init: str):
+    """Run test_kernel_carves_its_arrays_from_one_buffer's checks on one
+    shape; returns the walk's arena."""
     f = Formula(*BUFFER_SHAPES[shape])
     walks = []
 
@@ -262,6 +277,22 @@ def test_kernel_carves_its_arrays_from_one_buffer(lib, shape, init):
     run_both(f, cfg, 2000, lambda _: 250, started=check_and_mark)
     (c, padding), = walks
     assert all(c.arena[a:b] == b"\xa5" * (b - a) for a, b in padding)
+    return c.arena
+
+
+@pytest.mark.parametrize("arena", ["bytearray", "mmap"])
+def test_kernel_matches_python_body_on_either_arena(lib, arena, monkeypatch):
+    """A differential run on each arena type; ARENA_MMAP = 0 maps every one."""
+    if arena == "mmap":
+        monkeypatch.setattr(kernel, "ARENA_MMAP", 0)
+    types = set()
+    rng = random.Random(f"arena-{arena}")
+    for i, init in enumerate(INITS):
+        n, hard, soft = random_parts(rng, **INSTANCES["weighted-200"])
+        cfg = SolverConfig(init=init, seed=i + 1, decay_threshold=300, max_flips=3000)
+        run_both(Formula(n, hard, soft), cfg, 3000, lambda _: rng.randint(1, 700),
+                 started=lambda c, _py: types.add(type(c.arena).__name__))
+    assert types == {arena}
 
 
 # Many unit clauses: decimation's hard queue and soft draws do most of the work.
@@ -290,6 +321,11 @@ def test_kernel_path_builds_no_python_clause_views(lib, monkeypatch):
     assert solve(f, SolverConfig(max_flips=2000)).backend == "c"
     for kind in (f.hard, f.soft):
         assert (kind._rows, kind._vars, kind._occ) == (None, None, None)
+
+
+def test_parse_after_load_does_not_stat_the_library(lib, monkeypatch):
+    monkeypatch.setattr(kernel, "library_path", None)  # a call would fail
+    assert kernel.parse(b"p wcnf 2 2 9\n9 1 2 0\n4 -1 0\n") is not None
 
 
 def test_start_declines_counts_beyond_32_bits(lib, monkeypatch):

@@ -1,6 +1,7 @@
 """Search loop tests: BMS selection, escape moves, and full solves."""
 from __future__ import annotations
 
+import inspect
 import random
 from collections import Counter
 
@@ -258,6 +259,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             SolverConfig(max_flips=1, seed=seed)
         SolverConfig(max_flips=1, seed=-2**70)  # any int will do
+
+    def test_fields_are_the_constructor_parameters_in_order(self):
+        """vars() of a config, which bench stores in runs.jsonl, has exactly
+        FIELDS as keys, in the constructor's order."""
+        assert tuple(vars(SolverConfig())) == SolverConfig.FIELDS
+        assert tuple(inspect.signature(SolverConfig).parameters) == SolverConfig.FIELDS
+
+    def test_replace_checks_the_copy(self):
+        cfg = SolverConfig(max_flips=1, seed=3)
+        copy = cfg.replace(k=7)
+        assert vars(copy) == {**vars(cfg), "k": 7} and cfg.k is None
+        for bad in (dict(k=0), dict(mode="nope"), dict(seed="1")):
+            with pytest.raises(ConfigError):
+                cfg.replace(**bad)
 
     def test_decay_threshold_floor(self):
         f = Formula(2, [[1, 2]], [(1, [1]), (700, [2])])
