@@ -3,7 +3,6 @@ dynamically weighted soft-conflict pseudo-Boolean constraint."""
 
 from .formula import INF, Formula, ParseError, load_wcnf, parse_wcnf
 from .search import SolveResult, SolverConfig, solve
-from .state import SearchState, SpbConstraint
 
 __all__ = [
     "INF",
@@ -21,9 +20,14 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The oracle is imported at its first use (PEP 562): solve needs none of it.
+    # The oracle and the Python reference's state are imported at their first
+    # use (PEP 562): a solve in the C kernel needs neither.
     if name == "brute_force_opt":
         from .oracle import brute_force_opt
 
         return brute_force_opt
+    if name in ("SearchState", "SpbConstraint"):
+        from . import state
+
+        return getattr(state, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

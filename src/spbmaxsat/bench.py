@@ -4,16 +4,13 @@ metrics (#win per solver, mean time-to-best, mean score)."""
 from __future__ import annotations
 
 import json
-import logging
 import os
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .formula import INF, ParseError, load_wcnf
+from .formula import INF, Formula, ParseError, load_wcnf
 from .search import ConfigError, SolveResult, SolverConfig, solve
-
-log = logging.getLogger(__name__)
 
 WCNF_SUFFIXES = (".wcnf", ".cnf", ".dimacs")
 
@@ -48,7 +45,10 @@ def mse_score(bkc: int, found) -> float:
     if found is None or found == INF:
         return 0.0
     if found < bkc:
-        log.warning("found cost %s beats the reference %s; clipping score to 1", found, bkc)
+        import logging  # only here: it costs every bench process about 10 ms
+
+        logging.getLogger(__name__).warning(
+            "found cost %s beats the reference %s; clipping score to 1", found, bkc)
         return 1.0
     return (bkc + 1) / (found + 1)
 
@@ -71,14 +71,34 @@ def compute_wins(costs: Dict[str, Dict[str, Optional[int]]]) -> Dict[str, int]:
     return wins
 
 
+# The instance that _run_one loaded last in this process: (path, its Formula
+# or its load error message, the seconds the load took). run_benchmark runs
+# an instance's jobs one after another and empties this when it starts and
+# ends, so that a sweep parses each instance once per process.
+_last: Optional[Tuple[str, Union[Formula, str], float]] = None
+
+
+def _load(path: str) -> Tuple[Union[Formula, str], float]:
+    """The Formula of the instance at path, or its load error message, and
+    the seconds its load took, from the one-entry cache _last."""
+    global _last
+    if _last is None or _last[0] != path:
+        t0 = perf_counter()
+        try:
+            loaded = load_wcnf(path)
+        except (ParseError, OSError, UnicodeDecodeError) as exc:
+            loaded = f"unreadable: {exc}"
+        _last = (path, loaded, perf_counter() - t0)
+    return _last[1], _last[2]
+
+
 def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
     path, label, cfg = job
-    t0 = perf_counter()
-    try:
-        formula = load_wcnf(path)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    formula, parse_s = _load(path)
+    t0 = perf_counter() - parse_s  # a cached load still counts its parse
+    if isinstance(formula, str):
         return RunRecord(path, label, {}, None, None, [], 0, "error",
-                         perf_counter() - t0, error=f"unreadable: {exc}", skipped=True)
+                         perf_counter() - t0, error=formula, skipped=True)
     if cfg.cutoff_seconds is not None:
         # The time limit covers parsing: the search gets what is left.
         cfg = cfg.replace(cutoff_seconds=max(0.0, cfg.cutoff_seconds - (perf_counter() - t0)))
@@ -191,31 +211,42 @@ def run_benchmark(
 
     Each config is run under the given wall-clock limit unless it already
     carries its own cutoff. Records land in out_dir/runs.jsonl and the
-    report in out_dir/report.json when out_dir is set. Labels must be
-    unique: the report keys each instance's costs by label.
+    report in out_dir/report.json when out_dir is set, config by config
+    and each config's instances in order. Labels must be unique: the
+    report keys each instance's costs by label.
+
+    The jobs run instance by instance, so that each process parses an
+    instance once (see _load); each record's wall time and time limit
+    still count that parse. With parallelism > 1 each (config, instance)
+    pair is a pool task of its own.
     """
+    global _last
     labels = [label for label, _ in configs]
     for label in labels:
         if labels.count(label) > 1:
             raise ConfigError(f"duplicate config label {label!r}")
-    instances = discover_instances(directory)
-    jobs = []
-    for label, cfg in configs:
-        for path in instances:
-            job_cfg = cfg
-            if time_limit is not None and cfg.cutoff_seconds is None and cfg.max_flips is None:
-                job_cfg = cfg.replace(cutoff_seconds=time_limit)
-            jobs.append((path, label, job_cfg))
+    if time_limit is not None:
+        configs = [(label, cfg.replace(cutoff_seconds=time_limit)
+                    if cfg.cutoff_seconds is None and cfg.max_flips is None else cfg)
+                   for label, cfg in configs]
+    jobs = [(path, label, cfg) for path in discover_instances(directory)
+            for label, cfg in configs]
 
-    if parallelism > 1 and len(jobs) > 1:
-        # Only here: importing multiprocessing costs every solve and one-job
-        # bench process about 25 ms.
-        from concurrent.futures import ProcessPoolExecutor
+    _last = None  # a file may have changed since the last sweep
+    try:
+        if parallelism > 1 and len(jobs) > 1:
+            # Only here: importing multiprocessing costs every solve and
+            # one-job bench process about 25 ms.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_run_one, jobs))
-    else:
-        records = [_run_one(job) for job in jobs]
+            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+                records = list(pool.map(_run_one, jobs))
+        else:
+            records = [_run_one(job) for job in jobs]
+    finally:
+        _last = None
+    # Back to config by config: the records of config i are every len(configs)-th.
+    records = [r for i in range(len(configs)) for r in records[i::len(configs)]]
 
     report = aggregate(records, bkc=bkc)
     if out_dir is not None:

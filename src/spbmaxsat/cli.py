@@ -14,9 +14,9 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from . import kernel
+from .common import MODES
 from .formula import INF, load_wcnf
 from .search import INITS, PRESETS, ConfigError, SolverConfig, solve
-from .weighting import MODES
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:

@@ -48,18 +48,19 @@ class Clauses:
     of these two adds its weight (1 when unweighted) to `dropped` or
     `empty`. `max_var` is the largest variable of any row added, dropped
     ones included, and `total` the sum of every soft weight added, dropped
-    ones included, which add() keeps within 63 bits. The tuple views used
-    by the Python search body are built on first use.
+    ones included, which add() keeps within 63 bits. `max_weight` is the
+    largest weight stored (0 when none is, and when unweighted). The tuple
+    views used by the Python search body are built on first use.
     """
 
     __slots__ = ("lits", "off", "weights", "empty", "dropped", "total", "max_var",
-                 "_rows", "_vars", "_occ")
+                 "max_weight", "_rows", "_vars", "_occ")
 
     def __init__(self, weighted: bool = False):
         self.lits = array("i")
         self.off = array("i", [0])
         self.weights = array("q") if weighted else None
-        self.empty = self.dropped = self.total = self.max_var = 0
+        self.empty = self.dropped = self.total = self.max_var = self.max_weight = 0
         self._rows = self._vars = self._occ = None
 
     def add(self, lits: List[int], weight: int = 1, num_vars: Optional[int] = None) -> None:
@@ -97,6 +98,8 @@ class Clauses:
         self.off.append(len(self.lits))
         if self.weights is not None:
             self.weights.append(weight)
+            if weight > self.max_weight:
+                self.max_weight = weight
 
     def __len__(self) -> int:
         return len(self.off) - 1
@@ -152,7 +155,8 @@ class Formula:
     compared with num_vars. A dropped soft clause does not count towards
     total_soft_weight, an empty hard clause marks the whole instance
     infeasible, and an empty soft clause contributes its weight to every
-    assignment's obj via a constant offset (soft_base).
+    assignment's obj via a constant offset (soft_base). max_soft_weight is
+    the largest of soft_weights, 0 when there is none.
     """
 
     __slots__ = (
@@ -160,6 +164,7 @@ class Formula:
         "hard",
         "soft",
         "soft_weights",
+        "max_soft_weight",
         "total_soft_weight",
         "soft_base",
         "has_empty_hard",
@@ -189,6 +194,7 @@ class Formula:
         self.hard = hard
         self.soft = soft
         self.soft_weights = soft.weights
+        self.max_soft_weight = soft.max_weight
         self.total_soft_weight = soft.total - soft.dropped
         self.soft_base = soft.empty
         self.has_empty_hard = hard.empty > 0
@@ -213,7 +219,7 @@ class Formula:
     @property
     def is_pms(self) -> bool:
         """True when every soft clause carries unit weight."""
-        return all(w == 1 for w in self.soft_weights)
+        return self.max_soft_weight <= 1
 
     def clause_satisfied(self, lits: Tuple[int, ...], values: Sequence[int]) -> bool:
         for lit in lits:

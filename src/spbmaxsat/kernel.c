@@ -856,11 +856,12 @@ int64_t kn_advance(kstate *s, int64_t n)
  * per variable.
  */
 
-/* One clause kind: the arrays and the fields of a formula.Clauses. */
+/* One clause kind: the arrays and the fields of a formula.Clauses. The fill
+ * pass sets max_weight. */
 typedef struct {
     int32_t *lits, *off;
     int64_t *weights; /* the soft kind only */
-    int64_t num_lits, num_clauses, empty, dropped, total, max_var;
+    int64_t num_lits, num_clauses, empty, dropped, total, max_var, max_weight;
 } pkind;
 
 typedef struct {
@@ -986,6 +987,7 @@ int64_t kn_parse(const uint8_t *text, int64_t n, int64_t fill, parsed *out)
     for (int i = 0; i < 2; i++) {
         pkind *k = kinds[i];
         k->num_lits = k->num_clauses = k->empty = k->dropped = k->total = k->max_var = 0;
+        k->max_weight = 0;
     }
     while ((p = skip_blanks(p, end)) < end) {
         if (CLASS[*p] == EOL) {
@@ -1060,8 +1062,11 @@ int64_t kn_parse(const uint8_t *text, int64_t n, int64_t fill, parsed *out)
         }
         if (fill) {
             k->off[k->num_clauses + 1] = (int32_t)k->num_lits;
-            if (!hard)
+            if (!hard) {
                 k->weights[k->num_clauses] = w;
+                if (w > k->max_weight)
+                    k->max_weight = w;
+            }
         }
         k->num_clauses++;
     }

@@ -10,9 +10,9 @@ __pycache__, named by a checksum of the source, the flags and $CC, and
 loads it with ctypes; later processes load the cached library without a
 compiler, and a build deletes the libraries of other sources. load()
 returns None when anything fails (no compiler, an unwritable cache
-directory), and solve then runs its Python body. Importing the package
-compiles nothing: solve builds the kernel at its first call, and the CLI's
-solve and bench call load() before they start their clocks.
+directory), and solve then runs the Python reference (pywalk). Importing
+the package compiles nothing: solve builds the kernel at its first call,
+and the CLI's solve and bench call load() before they start their clocks.
 
 parse() reads WCNF bytes into the arrays of two Clauses, or declines and
 leaves the text to the Python parser; it uses a library that is built
@@ -43,9 +43,8 @@ from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from .common import DECAY_FACTOR, EPS, mode_deltas
 from .formula import INF, MAX_VARS, Clauses, Formula
-from .state import EPS
-from .weighting import DECAY_FACTOR, mode_deltas
 
 SOURCE = Path(__file__).with_name("kernel.c")
 _TEXT = SOURCE.read_bytes()  # read once: the cache key and the layout come from it
@@ -209,6 +208,7 @@ def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
         if c.weights is not None:
             del c.weights[k.num_clauses:]
         c.empty, c.dropped, c.total, c.max_var = k.empty, k.dropped, k.total, k.max_var
+        c.max_weight = k.max_weight
     return out.num_vars, hard, soft
 
 
@@ -270,7 +270,7 @@ class Walk:
         self.st.bound = int(cost) if self.st.has_bound else 0
 
     def advance(self, n: int) -> Tuple[int, bool]:
-        """Run up to n flips, as search._PythonWalk.advance does."""
+        """Run up to n flips, as pywalk._PythonWalk.advance does."""
         done = self._lib.kn_advance(self.st, n)
         return done, bool(self.st.optimum)
 

@@ -1,16 +1,14 @@
-"""Main local search loop: greedy BMS flips, weighting at local optima,
-best-solution tracking, and soft-conflict bound updates."""
+"""The solver's config and result, and solve: the anytime loop that runs a
+walk (the C kernel's, else the Python reference's in pywalk), keeps the
+best solution and tightens the soft-conflict bound."""
 from __future__ import annotations
 
-import random
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from . import kernel
+from .common import MODE_SPB, MODES
 from .formula import INF, Formula
-from .initialization import decimation_init, random_init
-from .state import SearchState, flip
-from .weighting import MODE_SPB, MODES, spb_weighting, update_spb_bound
 
 # Tuned presets: (k, h_inc, delta). "pms" applies when every soft weight is 1.
 PRESETS = {
@@ -113,7 +111,7 @@ class SolverConfig:
             h_inc=self.h_inc if self.h_inc is not None else ph,
             delta=self.delta if self.delta is not None else pd,
             preset=preset,
-            decay_threshold=max(self.decay_threshold, 2.0 * max(formula.soft_weights, default=0)),
+            decay_threshold=max(self.decay_threshold, 2.0 * formula.max_soft_weight),
         )
 
 
@@ -147,97 +145,6 @@ class SolveResult:
         return bytes(self.best_assignment[1:]).translate(_DIGITS).decode("ascii")
 
 
-def _best(state: SearchState, candidates) -> int:
-    """The candidate with the highest score hscore + w_spb * softdelta; ties
-    go to the older flip stamp, then the lower id. Repeats of the best (BMS
-    samples repeat) are skipped."""
-    hs = state.hscore
-    sd = state.softdelta
-    w = state.spb.weight
-    stamp = state.flip_stamp
-    best_v = candidates[0]
-    best_s = hs[best_v] + w * sd[best_v]
-    for u in candidates:
-        if u == best_v:
-            continue
-        s = hs[u] + w * sd[u]
-        if s > best_s or (s == best_s and (stamp[u], u) < (stamp[best_v], best_v)):
-            best_v = u
-            best_s = s
-    return best_v
-
-
-def bms_pick(state: SearchState, k: int, rng: random.Random) -> int:
-    """Best (see _best) of k positive-score candidates sampled with replacement."""
-    members = state.goodvars.members
-    assert members, "bms_pick requires a non-empty positive-score set"
-    if len(members) == 1:
-        return members[0]
-    # choices() takes each sample as members[floor(random() * len)]: one
-    # random() call per sample, which the goldens pin.
-    return _best(state, rng.choices(members, k=k))
-
-
-def pick_from_falsified(state: SearchState, rng: random.Random) -> Optional[int]:
-    """Best variable (see _best) of a random falsified clause, hard first.
-
-    Returns None when nothing is falsified, i.e. the current assignment
-    satisfies every clause and is therefore optimal.
-    """
-    members, clause_vars = state.falsified_hard.members, state.hard_vars
-    if not members:
-        members, clause_vars = state.falsified_soft.members, state.soft_vars
-        if not members:
-            return None
-    return _best(state, clause_vars[members[int(rng.random() * len(members))]])
-
-
-class _PythonWalk:
-    """solve's search body in Python: the fallback when the C kernel (see
-    kernel.py) does not load, and the reference it is tested against."""
-
-    def __init__(self, state: SearchState, cfg: SolverConfig, rng: random.Random):
-        self.state, self.cfg, self.rng = state, cfg, rng
-
-    def cost(self) -> float:
-        """The objective if no hard clause is falsified, inf otherwise."""
-        return INF if self.state.falsified_hard.members else self.state.current_obj
-
-    def snapshot(self) -> List[int]:
-        """A copy of the current assignment."""
-        return list(self.state.values)
-
-    @staticmethod
-    def assignment(snapshot: List[int]) -> List[int]:
-        return snapshot
-
-    def set_bound(self, cost) -> None:
-        update_spb_bound(self.state.spb, cost)
-
-    def advance(self, n: int) -> Tuple[int, bool]:
-        """Run up to n flips: a BMS pick, or weighting and a falsified-clause
-        pick at a local optimum, then the flip. Stop right after a flip that
-        beats the bound with no hard clause falsified. Returns the flips made
-        and whether the search stopped because nothing is falsified.
-        """
-        state, cfg, rng = self.state, self.cfg, self.rng
-        goodvars = state.goodvars.members
-        falsified_hard = state.falsified_hard.members
-        spb = state.spb
-        for i in range(n):
-            if goodvars:
-                v = bms_pick(state, cfg.k, rng)
-            else:
-                spb_weighting(state, cfg)
-                v = pick_from_falsified(state, rng)
-                if v is None:
-                    return i, True
-            flip(state, v)
-            if not falsified_hard and state.current_obj < spb.bound:
-                return i + 1, False
-        return n, False
-
-
 def solve(
     formula: Formula,
     config: Optional[SolverConfig] = None,
@@ -259,10 +166,9 @@ def solve(
 
     walk = kernel.start(formula, cfg)  # seeds its own Mersenne Twister
     if walk is None:
-        rng = random.Random(cfg.seed)
-        values = decimation_init(formula, rng) if cfg.init == "decimation" \
-            else random_init(formula, rng)
-        walk = _PythonWalk(SearchState(formula, values), cfg, rng)
+        from . import pywalk  # the Python reference: only where the kernel is not
+
+        walk = pywalk.start(formula, cfg)
 
     best_cost = INF
     best_snapshot = None  # walk.snapshot() at the best cost: a list only at the end
@@ -306,3 +212,18 @@ def solve(
     backend = "c" if isinstance(walk, kernel.Walk) else "python"
     best_values = None if best_snapshot is None else walk.assignment(best_snapshot)
     return SolveResult(best_values, best_cost, trace, flips, termination, cfg, backend)
+
+
+# perfbench/tracing.py looks these names up on this module to wrap them. They
+# are the Python reference's (pywalk), imported at the first such lookup
+# (PEP 562): a run in the kernel imports none of it.
+_REFERENCE_NAMES = ("decimation_init", "SearchState", "bms_pick", "pick_from_falsified",
+                    "flip", "spb_weighting")
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE_NAMES:
+        from . import pywalk
+
+        return getattr(pywalk, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
+from .common import EPS
 from .formula import INF, Formula
-
-# Positive-score threshold; absorbs float noise introduced by weight decay.
-EPS = 1e-9
 
 
 class SpbConstraint:

@@ -2,29 +2,13 @@
 weighted soft-conflict constraint, and the decay safeguard."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
+from .common import DECAY_FACTOR, mode_deltas
 from .state import SearchState, SpbConstraint, _add_scores, refresh_candidacy
-
-MODE_SPB = "spb"
-MODE_CONSTANT = "constant"
-MODE_ALL_ADAPTIVE = "all_adaptive"
-MODES = (MODE_SPB, MODE_CONSTANT, MODE_ALL_ADAPTIVE)
-
-DECAY_FACTOR = 0.5
 
 if TYPE_CHECKING:
     from .search import SolverConfig
-
-
-def mode_deltas(cfg: SolverConfig) -> Tuple[float, float]:
-    """(hard_delta, spb_delta) of a resolved config: the factors by which
-    spb_weighting scales a falsified hard clause's and the soft-conflict
-    constraint's bumped weights. Hard clauses are scaled by delta in
-    all_adaptive mode only, the constraint by delta except in constant
-    mode; 1.0 leaves a bump additive."""
-    return (cfg.delta if cfg.mode == MODE_ALL_ADAPTIVE else 1.0,
-            1.0 if cfg.mode == MODE_CONSTANT else cfg.delta)
 
 
 def spb_is_falsified(spb: SpbConstraint, current_obj) -> bool:

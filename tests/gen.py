@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from spbmaxsat.common import EPS
 from spbmaxsat.formula import INF, Formula
 from spbmaxsat.search import SolverConfig
-from spbmaxsat.state import EPS, IndexSet, SearchState, recompute_from_scratch
+from spbmaxsat.state import IndexSet, SearchState, recompute_from_scratch
 from spbmaxsat.weighting import spb_weighting
 
 

@@ -19,7 +19,8 @@ from spbmaxsat.cli import main
 from spbmaxsat.formula import INF, Formula, ParseError, parse_wcnf
 from spbmaxsat.search import SolverConfig, solve
 from spbmaxsat.state import SearchState, flip
-from spbmaxsat.weighting import MODE_CONSTANT, MODE_SPB, decay_weights, spb_weighting
+from spbmaxsat.common import MODE_CONSTANT, MODE_SPB
+from spbmaxsat.weighting import decay_weights, spb_weighting
 
 import acceptance_jobs as jobs
 from gen import (
@@ -139,7 +140,7 @@ def test_criterion_4_spb_lifecycle(monkeypatch):
         # must then make the same run.
         with monkeypatch.context() as mp:
             mp.setattr(kernel, "load", lambda: None)
-            mp.setattr("spbmaxsat.search.flip", checked_flip)
+            mp.setattr("spbmaxsat.pywalk.flip", checked_flip)
             result = solve(f, cfg, on_improvement=on_improvement)
         assert not violations, violations[:3]
         assert len(flips) == result.flips

@@ -62,6 +62,10 @@ def _write_instances(tmp_path, count=3, seed=17):
         (tmp_path / f"inst{i}.wcnf").write_text(render_old(n, hard, soft))
 
 
+def _records(out):
+    return [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+
+
 def test_record_json_is_the_asdict_json(tmp_path):
     _write_instances(tmp_path, count=1)
     (tmp_path / "bad.wcnf").write_text("p wcnf nope\n")
@@ -199,14 +203,113 @@ class TestRunBenchmark:
         import spbmaxsat.bench as bench_mod
 
         load = bench_mod.load_wcnf
+        loads = []
 
         def slow_load(path):
+            loads.append(path)
             time.sleep(0.2)
             return load(path)
 
         monkeypatch.setattr(bench_mod, "load_wcnf", slow_load)
-        run_benchmark(tmp_path, [("t", SolverConfig(seed=1))], time_limit=0.1,
-                      out_dir=tmp_path / "out")
-        [line] = (tmp_path / "out" / "runs.jsonl").read_text().splitlines()
-        record = json.loads(line)
-        assert (record["flips"], record["termination"]) == (0, "time")
+        # One parse of the instance, counted by the record of each config.
+        run_benchmark(tmp_path, [("t", SolverConfig(seed=1)),
+                                 ("c", SolverConfig(seed=1, mode="constant"))],
+                      time_limit=0.1, out_dir=tmp_path / "out")
+        records = _records(tmp_path / "out")
+        assert [(r["flips"], r["termination"]) for r in records] == [(0, "time")] * 2
+        assert all(r["wall_time"] >= 0.2 for r in records) and len(loads) == 1
+
+
+def _fixed(record: dict) -> dict:
+    """A runs.jsonl record without the fields that read the clock."""
+    fixed = {k: v for k, v in record.items() if k not in ("wall_time", "time_to_best")}
+    fixed["trace"] = [[step, cost] for step, _, cost in record["trace"]]
+    return fixed
+
+
+class TestOneParsePerInstance:
+    CONFIGS = [
+        ("base", SolverConfig(max_flips=2000, seed=1)),
+        ("constant", SolverConfig(max_flips=2000, seed=2, mode="constant")),
+        ("adaptive", SolverConfig(max_flips=2000, seed=3, mode="all_adaptive")),
+    ]
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths that bench.load_wcnf is called with, in call order."""
+        import spbmaxsat.bench as bench_mod
+
+        calls = []
+        load = bench_mod.load_wcnf
+
+        def counted(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(bench_mod, "load_wcnf", counted)
+        return calls
+
+    def test_serial_sweep_parses_each_instance_once(self, tmp_path, loads):
+        _write_instances(tmp_path, count=4)
+        report = run_benchmark(tmp_path, self.CONFIGS)
+        assert report["num_instances"] == 4
+        assert sorted(loads) == report["instances"]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_records_keep_their_order_and_outcomes(self, tmp_path, monkeypatch, parallelism):
+        import spbmaxsat.bench as bench_mod
+
+        _write_instances(tmp_path, count=3)
+        run_benchmark(tmp_path, self.CONFIGS, parallelism=parallelism, out_dir=tmp_path / "out")
+        records = _records(tmp_path / "out")
+        instances = sorted(str(p) for p in tmp_path.glob("*.wcnf"))
+        # Config by config, each config's instances in order; each outcome
+        # that of a run that parses its instance itself.
+        expected = []
+        for label, cfg in self.CONFIGS:
+            for path in instances:
+                monkeypatch.setattr(bench_mod, "_last", None)
+                expected.append(_fixed(json.loads(_run_one((path, label, cfg)).to_json())))
+        assert [_fixed(r) for r in records] == expected
+
+    def test_unreadable_instance_gives_a_skipped_record_per_config(self, tmp_path, loads):
+        (tmp_path / "bad.wcnf").write_text("p wcnf nope\n")
+        _write_instances(tmp_path, count=1)
+        run_benchmark(tmp_path, self.CONFIGS, out_dir=tmp_path / "out")
+        bad = [r for r in _records(tmp_path / "out") if r["instance"].endswith("bad.wcnf")]
+        assert [r["label"] for r in bad] == [label for label, _ in self.CONFIGS]
+        assert all(r["skipped"] and r["error"].startswith("unreadable: line 1: ") for r in bad)
+        assert len(loads) == 2
+
+    def test_crash_of_one_config_leaves_the_others_running(self, tmp_path, monkeypatch, loads):
+        import spbmaxsat.bench as bench_mod
+
+        _write_instances(tmp_path, count=2)
+        solve = bench_mod.solve
+
+        def solve_or_crash(formula, cfg):
+            if cfg.mode == "constant":
+                raise RuntimeError("synthetic failure")
+            return solve(formula, cfg)
+
+        monkeypatch.setattr(bench_mod, "solve", solve_or_crash)
+        run_benchmark(tmp_path, self.CONFIGS, out_dir=tmp_path / "out")
+        records = _records(tmp_path / "out")
+        for r in records:
+            if r["label"] == "constant":
+                assert r["error"] == "crash: synthetic failure" and r["best_cost"] is None
+            else:
+                assert r["error"] is None and r["trace"] and r["termination"] != "error"
+        assert len(records) == 6 and len(loads) == 2
+
+    def test_file_rewritten_between_sweeps_is_read_again(self, tmp_path, loads):
+        import spbmaxsat.bench as bench_mod
+
+        path = tmp_path / "inst.wcnf"
+        path.write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
+        first = run_benchmark(tmp_path, self.CONFIGS[:1])
+        path.write_text("p wcnf 1 2 10\n10 1 0\n4 -1 0\n")
+        second = run_benchmark(tmp_path, self.CONFIGS[:1])
+        assert [first["refs"][str(path)], second["refs"][str(path)]] == [2, 4]
+        assert loads == [str(path)] * 2
+        assert bench_mod._last is None  # a sweep keeps no instance after it ends

@@ -11,9 +11,9 @@ import pytest
 
 from spbmaxsat import cli
 from spbmaxsat.cli import main
+from spbmaxsat.common import MODES
 from spbmaxsat.formula import load_wcnf
 from spbmaxsat.search import INITS, PRESETS, SolverConfig
-from spbmaxsat.weighting import MODES
 
 from gen import random_parts, render_old
 

@@ -313,8 +313,11 @@ def wcnf_texts(draw):
 
 
 def formula_fields(f: Formula):
+    # The largest stored soft weight is counted as rows are stored, dropped
+    # and empty rows left out.
+    assert f.max_soft_weight == max(f.soft_weights, default=0)
     return (f.num_vars, f.hard, f.soft, f.soft_weights, f.soft_base, f.has_empty_hard,
-            f.total_soft_weight)
+            f.total_soft_weight, f.max_soft_weight)
 
 
 def outcome(build):
@@ -444,6 +447,19 @@ class TestEvaluation:
         assert Formula(n, hard, soft).is_pms
         weighted = Formula(2, [], [(2, [1]), (1, [2])])
         assert not weighted.is_pms
+        # A dropped tautology and an empty soft clause store no weight.
+        assert Formula(2, [], [(1, [1]), (9, [2, -2]), (7, [])]).is_pms
+        assert Formula(0, [], []).is_pms
+
+    @pytest.mark.parametrize("text", [
+        "p wcnf 2 4 100\n1 1 0\n9 2 -2 0\n7 0\n3 -1 2 0\n",
+        "1 1 0\n9 2 -2 0\n7 0\n3 -1 2 0\n",
+    ])
+    def test_max_soft_weight_counts_stored_rows_only(self, text):
+        f = parse_wcnf(text)
+        assert (list(f.soft_weights), f.max_soft_weight) == ([1, 3], 3)
+        cfg = SolverConfig(max_flips=0, decay_threshold=2.0).resolve(f)
+        assert cfg.decay_threshold == 6.0
 
 
 class TestFormatEquivalence:

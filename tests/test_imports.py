@@ -1,5 +1,6 @@
 """Import hygiene: every imported name is used (an AST check over the
-package and the tests), and the package needs nothing outside the stdlib.
+package and the tests), the package needs nothing outside the stdlib, and
+an entry point loads only what it runs.
 
 A name counts as used when it occurs as a Name node (attribute access
 such as `random.Random` starts with one) or is listed in `__all__`.
@@ -56,25 +57,47 @@ def test_package_loads_only_stdlib_modules():
     assert loaded - set(sys.stdlib_module_names) - {"spbmaxsat"} == set()
 
 
-def cli_import_loads(*modules: str) -> list:
-    """Which of modules a fresh `import spbmaxsat.cli` loads."""
-    code = ("import sys; before = set(sys.modules); import spbmaxsat.cli; "
-            f"found = sorted({set(modules)!r} & (set(sys.modules) - before)); "
-            "import json; print(json.dumps(found))")
+def loads(code: str, *modules: str) -> list:
+    """Which of modules a fresh process loads while it runs code."""
+    probe = (f"import sys; before = set(sys.modules)\n{code}\n"
+             f"found = sorted({set(modules)!r} & (set(sys.modules) - before)); "
+             "import json; print(json.dumps(found))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     return json.loads(out)
 
 
 def test_cli_import_loads_neither_bench_nor_logging():
-    """solve and oracle need neither: bench, which loads logging, is
-    imported when the bench command runs."""
-    assert cli_import_loads("logging", "spbmaxsat.bench") == []
+    """solve and oracle need neither: bench is imported when the bench
+    command runs."""
+    assert loads("import spbmaxsat.cli", "logging", "spbmaxsat.bench") == []
+
+
+def test_bench_import_loads_no_logging():
+    """bench imports logging only to warn of a score that it clips."""
+    assert loads("import spbmaxsat.bench", "logging") == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
     """The package's records are plain classes: dataclasses would load
     inspect, ast, dis and tokenize. The oracle loads at its first use."""
-    assert cli_import_loads("dataclasses", "inspect", "spbmaxsat.oracle") == []
+    assert loads("import spbmaxsat.cli", "dataclasses", "inspect", "spbmaxsat.oracle") == []
+
+
+def test_kernel_solve_loads_no_python_reference():
+    """The Python search (pywalk and the modules it uses) is imported only
+    when the kernel does not start a walk."""
+    from spbmaxsat import kernel
+
+    if kernel.load() is None:
+        pytest.skip("the C kernel did not build or load")
+    solve = ("from spbmaxsat import SolverConfig, kernel, parse_wcnf, solve\n{}\n"
+             "f = parse_wcnf('p wcnf 2 3 10\\n10 1 2 0\\n2 -1 0\\n5 -2 0\\n')\n"
+             "assert solve(f, SolverConfig(max_flips=100)).backend == {!r}")
+    reference = ["spbmaxsat.initialization", "spbmaxsat.pywalk", "spbmaxsat.state",
+                 "spbmaxsat.weighting"]
+    assert loads(solve.format("", "c"), *reference) == []
+    # Without the kernel, the probe sees them all.
+    assert loads(solve.format("kernel.load = lambda: None", "python"), *reference) == reference

@@ -25,12 +25,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from spbmaxsat import kernel, search
+from spbmaxsat import kernel, pywalk
+from spbmaxsat.common import MODES
 from spbmaxsat.formula import Clauses, Formula, ParseError, load_wcnf, parse_wcnf
-from spbmaxsat.initialization import decimation_init, random_init
-from spbmaxsat.search import INITS, SolverConfig, _PythonWalk, solve
-from spbmaxsat.state import SearchState
-from spbmaxsat.weighting import MODES
+from spbmaxsat.pywalk import _PythonWalk
+from spbmaxsat.search import INITS, SolverConfig, solve
 
 from gen import random_parts, render_new, render_old
 from test_formula import EOLS, PARSE_ERRORS, ROW_ERRORS, wcnf_texts
@@ -79,10 +78,7 @@ def assert_same_state(c: kernel.Walk, py: _PythonWalk) -> None:
 
 def start_both(f: Formula, cfg: SolverConfig):
     """The kernel's start state and the Python body's, from one seed."""
-    c = kernel.start(f, cfg)
-    rng = random.Random(cfg.seed)
-    values = decimation_init(f, rng) if cfg.init == "decimation" else random_init(f, rng)
-    py = _PythonWalk(SearchState(f, values), cfg, rng)
+    c, py = kernel.start(f, cfg), pywalk.start(f, cfg)
     assert_same_state(c, py)
     return c, py
 
@@ -317,7 +313,7 @@ def test_kernel_start_state_matches_python_init(lib, init, preset):
 def test_kernel_path_builds_no_python_clause_views(lib, monkeypatch):
     n, hard, soft = random_parts(random.Random(6), **INSTANCES["weighted-200"])
     f = parse_wcnf(render_old(n, hard, soft))
-    monkeypatch.setattr(search, "SearchState", None)  # a call would fail
+    monkeypatch.setattr(pywalk, "SearchState", None)  # a call would fail
     assert solve(f, SolverConfig(max_flips=2000)).backend == "c"
     for kind in (f.hard, f.soft):
         assert (kind._rows, kind._vars, kind._occ) == (None, None, None)
@@ -357,8 +353,9 @@ def test_layer_split_counts_every_part_of_an_unchanged_run(lib):
 
 def parse_fields(f: Formula):
     """Everything that parse_wcnf builds: num_vars and both Clauses' fields."""
-    return (f.num_vars, *((c.lits, c.off, c.weights, c.empty, c.dropped, c.total, c.max_var)
-                          for c in (f.hard, f.soft)))
+    assert f.max_soft_weight == max(f.soft_weights, default=0)
+    return (f.num_vars, *((c.lits, c.off, c.weights, c.empty, c.dropped, c.total, c.max_var,
+                           c.max_weight) for c in (f.hard, f.soft)))
 
 
 def python_parse(text: str):

@@ -8,18 +8,12 @@ from collections import Counter
 import pytest
 
 from spbmaxsat import kernel
+from spbmaxsat.common import EPS
 from spbmaxsat.formula import INF, Formula, parse_wcnf
 from spbmaxsat.oracle import brute_force_opt
-from spbmaxsat.search import (
-    ConfigError,
-    PRESETS,
-    SolveResult,
-    SolverConfig,
-    bms_pick,
-    pick_from_falsified,
-    solve,
-)
-from spbmaxsat.state import EPS, SearchState, flip
+from spbmaxsat.pywalk import bms_pick, pick_from_falsified
+from spbmaxsat.search import ConfigError, PRESETS, SolveResult, SolverConfig, solve
+from spbmaxsat.state import SearchState, flip
 
 from gen import as_set, random_parts, same_run, score
 
@@ -185,7 +179,7 @@ class TestSolve:
         cfg = SolverConfig(max_flips=5_000, seed=5)
         with monkeypatch.context() as mp:
             mp.setattr(kernel, "load", lambda: None)
-            mp.setattr("spbmaxsat.search.flip", checked_flip)
+            mp.setattr("spbmaxsat.pywalk.flip", checked_flip)
             result = solve(f, cfg, on_improvement=on_improvement)
         assert flips == result.flips > 0
         assert same_run(solve(f, cfg), result)

@@ -6,19 +6,11 @@ import random
 
 import pytest
 
+from spbmaxsat.common import MODE_ALL_ADAPTIVE, MODE_CONSTANT, MODE_SPB, MODES
 from spbmaxsat.formula import INF, Formula
 from spbmaxsat.search import ConfigError, SolverConfig
 from spbmaxsat.state import SearchState, SpbConstraint, flip
-from spbmaxsat.weighting import (
-    MODE_ALL_ADAPTIVE,
-    MODE_CONSTANT,
-    MODE_SPB,
-    MODES,
-    decay_weights,
-    spb_is_falsified,
-    spb_weighting,
-    update_spb_bound,
-)
+from spbmaxsat.weighting import decay_weights, spb_is_falsified, spb_weighting, update_spb_bound
 
 from gen import assert_state_matches_scratch, random_parts, weight_growth
 
