@@ -8,7 +8,6 @@ stderr so stdout stays machine-parseable.
 from __future__ import annotations
 
 import argparse
-import shlex
 import sys
 from time import perf_counter
 from typing import List, Optional, Tuple
@@ -45,6 +44,7 @@ def _config_from_args(args) -> SolverConfig:
 def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
     """Parse bench --config entries of the form "label=<solver flags>",
     several entries separated by ";"."""
+    import shlex  # only here: solve does without it
     parser = argparse.ArgumentParser(prog="config", add_help=False,
                                      argument_default=argparse.SUPPRESS)
     _add_solver_flags(parser)
@@ -71,21 +71,39 @@ def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
 
 
 def cmd_solve(args) -> int:
+    """Solve one instance. SIGTERM or SIGINT ends the search at its next
+    time check: the best model found so far is printed as at the end of
+    the budget, and the exit status is 0."""
+    # The C module under signal, which the interpreter has loaded already:
+    # importing signal builds its enums, about 1 ms of every solve.
+    import _signal
+
     kernel.load()  # before the clock and the parse: a compile is not the run's time
     start = perf_counter()
     cfg = _config_from_args(args)
-    formula = load_wcnf(args.file)
-    t0 = perf_counter()
-    if cfg.cutoff_seconds is None and cfg.max_flips is None:
-        cfg.cutoff_seconds = 60.0
-    if cfg.cutoff_seconds is not None:
-        # The time limit covers parsing: the search gets what is left.
-        cfg.cutoff_seconds = max(0.0, cfg.cutoff_seconds - (t0 - start))
+    received = []
 
-    def emit(cost: int) -> None:
-        print(f"o {cost}", flush=True)
+    def on_signal(signum, _frame) -> None:
+        received.append(signum)
 
-    result = solve(formula, cfg, on_improvement=emit)
+    stopping = (_signal.SIGTERM, _signal.SIGINT)
+    previous = [_signal.signal(sig, on_signal) for sig in stopping]
+    try:
+        formula = load_wcnf(args.file)
+        t0 = perf_counter()
+        if cfg.cutoff_seconds is None and cfg.max_flips is None:
+            cfg.cutoff_seconds = 60.0
+        if cfg.cutoff_seconds is not None:
+            # The time limit covers parsing: the search gets what is left.
+            cfg.cutoff_seconds = max(0.0, cfg.cutoff_seconds - (t0 - start))
+
+        def emit(cost: int) -> None:
+            print(f"o {cost}", flush=True)
+
+        result = solve(formula, cfg, on_improvement=emit, stop=lambda: bool(received))
+    finally:
+        for sig, handler in zip(stopping, previous):
+            _signal.signal(sig, _signal.SIG_DFL if handler is None else handler)
     if result.feasible:
         print("s SATISFIABLE")
         print(f"v {result.bitstring()}", flush=True)

@@ -840,34 +840,48 @@ int64_t kn_advance(kstate *s, int64_t n)
  *
  * kn_parse is formula.parse_wcnf on UTF-8 bytes: it writes each clause kind
  * into the arrays of a formula.Clauses, with the rows, counts and checks of
- * the Python parser and Clauses.add. It declines (returns 1) wherever it
- * would have to tell errors apart or read text as Python does: on any
- * error, on a byte >= 0x80 or one of \v \f \x1c-\x1f (line breaks or
+ * the Python parser and Clauses.add. It declines (returns DECLINED)
+ * wherever it would have to tell errors apart or read text as Python does:
+ * on any error, on a byte >= 0x80 or one of \v \f \x1c-\x1f (line breaks or
  * whitespace only to Python), on a number token that is not [-]digits
  * (int() also reads "+1" and "1_0") or is above 2^64 - 1, on a kind with
  * more than INT32_MAX literals, and when out of memory. parse_wcnf then
  * parses the text in Python, which reports the error. Lines end at \n or
  * \r (so at \r\n too), and tokens are separated by spaces and tabs.
  *
- * Two passes over the same bytes. The count pass (fill 0) checks the text
- * and counts each kind's rows and literals, for kernel.py to allocate the
- * arrays; the fill pass (fill 1) writes the rows into them, normalized,
- * and leaves the counts stored, which can be smaller. Nothing is allocated
- * per variable.
+ * One pass: each byte is read once, and each row is checked and written,
+ * normalized, straight into its kind's arrays, whose capacities kernel.py
+ * sets. When a row does not fit (its kind's literals, offsets or weights
+ * are full), kn_parse returns FULL before that row: pos is the row's
+ * offset, every count is as it was before the row, and row_lits bounds
+ * the row's literals. kernel.py grows the arrays in place and calls
+ * kn_parse again, which goes on from pos. Nothing is allocated per
+ * variable.
+ *
+ * No scan tests for the end of the text. The lines up to the last line
+ * break are read in place, and every scan stops at a line break at the
+ * latest; a last line without a break is read from a copy that ends in
+ * "\n".
  */
 
-/* One clause kind: the arrays and the fields of a formula.Clauses. The fill
- * pass sets max_weight. */
+/* One clause kind: the arrays and the fields of a formula.Clauses. */
 typedef struct {
     int32_t *lits, *off;
     int64_t *weights; /* the soft kind only */
+    int64_t lits_cap, rows_cap; /* lits has lits_cap items, off rows_cap + 1, weights rows_cap */
     int64_t num_lits, num_clauses, empty, dropped, total, max_var, max_weight;
+    int64_t first; /* 1 + the offset of the kind's first row, 0 before it */
 } pkind;
 
+/* The parse so far, zeroed before the first call. */
 typedef struct {
     pkind hard, soft;
-    int64_t num_vars;
+    int64_t num_vars, top, format; /* format: UNSEEN, CLASSIC or HEADERLESS */
+    int64_t pos, row_lits; /* the offset to go on from; after FULL, the row's bound */
 } parsed;
+
+enum { PARSED, DECLINED, FULL };
+enum { UNSEEN, CLASSIC, HEADERLESS }; /* set by the first significant line */
 
 /* Byte classes; the parser declines on a DECLINE byte wherever it is. */
 enum { OTHER, DIGIT, BLANK, EOL, DECLINE };
@@ -876,62 +890,97 @@ static const uint8_t CLASS[256] = {
     ['\v'] = DECLINE, ['\f'] = DECLINE, [0x1c ... 0x1f] = DECLINE, [0x80 ... 0xff] = DECLINE,
 };
 
-/* The class of the byte at p; the end of the text ends a line. */
-static inline int cls(const uint8_t *p, const uint8_t *end)
+/* Whether byte b ends a token: a blank or a line break. */
+static inline int ends_token(uint8_t b)
 {
-    return p < end ? CLASS[*p] : EOL;
+    return (unsigned)(CLASS[b] - BLANK) <= EOL - BLANK;
 }
 
-static inline int token_end(const uint8_t *p, const uint8_t *end)
+static inline const uint8_t *skip_blanks(const uint8_t *p)
 {
-    int c = cls(p, end);
-    return c == BLANK || c == EOL;
-}
-
-static inline const uint8_t *skip_blanks(const uint8_t *p, const uint8_t *end)
-{
-    while (p < end && CLASS[*p] == BLANK)
+    while (CLASS[*p] == BLANK)
         p++;
     return p;
 }
 
+static inline int is_digit(uint8_t b)
+{
+    return (uint8_t)(b - '0') < 10;
+}
+
+/* The digits at *pp, read as a number into *x, with *pp moved past them; 0
+ * when there are none or the number is above 2^64 - 1. The 8 bytes at *pp
+ * must be readable. Up to 7 digits are found and summed in one 64-bit word
+ * (little-endian only), with no branch per digit. */
+static inline int read_digits(const uint8_t **pp, uint64_t *x)
+{
+    const uint8_t *p = *pp, *s = p;
+    uint64_t v = 0;
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    uint64_t w;
+    memcpy(&w, p, 8);
+    /* A byte below '0' or above '9' sets its top bit in one of the two
+     * words; a carry or a borrow spoils only the bytes after it. */
+    uint64_t stop = ((w + 0x4646464646464646u) | (w - 0x3030303030303030u)) & 0x8080808080808080u;
+    w -= 0x3030303030303030u; /* digits 0-9 up to the first other byte */
+    if (stop) { /* the first byte whose top bit is set is no digit */
+        int len = __builtin_ctzll(stop) >> 3;
+        if (!len)
+            return 0;
+        v = w << (64 - 8 * len); /* the digits, most significant byte first, after zeros */
+        v = (v & 0x0f0f0f0f0f0f0f0fu) * 2561 >> 8;
+        v = (v & 0x00ff00ff00ff00ffu) * 6553601 >> 16;
+        *x = (v & 0x0000ffff0000ffffu) * 42949672960001u >> 32;
+        *pp = p + len;
+        return 1;
+    }
+#endif
+    while (is_digit(*p))
+        v = v * 10 + (uint64_t)(*p++ - '0');
+    if (p - s > 19) { /* may have wrapped: read again, checked */
+        v = 0;
+        for (const uint8_t *d = s; d < p; d++)
+            if (__builtin_mul_overflow(v, 10, &v) || __builtin_add_overflow(v, *d - '0', &v))
+                return 0;
+    }
+    *pp = p;
+    *x = v;
+    return p > s;
+}
+
 /* An unsigned number token at *pp, at most 2^64 - 1, into *x; 0 if there is
  * none. */
-static int read_number(const uint8_t **pp, const uint8_t *end, uint64_t *x)
+static int read_number(const uint8_t **pp, uint64_t *x)
 {
-    const uint8_t *p = *pp;
-    if (cls(p, end) != DIGIT)
-        return 0;
-    for (*x = 0; cls(p, end) == DIGIT; p++)
-        if (__builtin_mul_overflow(*x, 10, x) || __builtin_add_overflow(*x, *p - '0', x))
-            return 0;
-    *pp = p;
-    return token_end(p, end);
+    return read_digits(pp, x) && ends_token(**pp);
 }
 
 /* The "p wcnf <num_vars> <clauses> <top>" line at *pp, checked as
  * formula._header does. */
-static int read_header(const uint8_t **pp, const uint8_t *end, uint64_t *num_vars, uint64_t *top)
+static int read_header(const uint8_t **pp, uint64_t *num_vars, uint64_t *top)
 {
     const uint8_t *p = *pp + 1;
     uint64_t clauses;
-    if (cls(p, end) != BLANK)
+    if (CLASS[*p] != BLANK)
         return 0;
-    p = skip_blanks(p, end);
-    if (end - p < 5 || memcmp(p, "wcnf", 4) || CLASS[p[4]] != BLANK)
+    p = skip_blanks(p);
+    for (const char *w = "wcnf"; *w; w++, p++) /* a line break differs */
+        if (*p != (uint8_t)*w)
+            return 0;
+    if (CLASS[*p] != BLANK)
         return 0;
-    p = skip_blanks(p + 4, end);
-    if (!read_number(&p, end, num_vars) || *num_vars > MAX_VARS)
+    p = skip_blanks(p);
+    if (!read_number(&p, num_vars) || *num_vars > MAX_VARS)
         return 0;
-    p = skip_blanks(p, end);
-    p += p < end && *p == '-'; /* int() takes any clause count */
-    if (!read_number(&p, end, &clauses))
+    p = skip_blanks(p);
+    p += *p == '-'; /* int() takes any clause count */
+    if (!read_number(&p, &clauses))
         return 0;
-    p = skip_blanks(p, end);
-    if (!read_number(&p, end, top) || *top < 1)
+    p = skip_blanks(p);
+    if (!read_number(&p, top) || *top < 1)
         return 0;
-    *pp = p = skip_blanks(p, end);
-    return cls(p, end) == EOL;
+    *pp = p = skip_blanks(p);
+    return CLASS[*p] == EOL;
 }
 
 /* formula._normalize of a row with two or more literals, in place: repeated
@@ -976,104 +1025,146 @@ static int64_t normalize(int32_t *lits, int64_t n)
     return kept;
 }
 
-/* One pass of the parser over text[0:n]: see above. Returns 0 when the
- * text is parsed, 1 when the parser declines. */
-int64_t kn_parse(const uint8_t *text, int64_t n, int64_t fill, parsed *out)
+/* Returns FULL with pos at the row at offset `offset`, which starts at row;
+ * its literals are fewer than half its bytes. */
+static int64_t stop_before(parsed *out, const uint8_t *row, int64_t offset)
 {
-    const uint8_t *p = text, *end = text + n;
-    int classic = -1; /* set by the first significant line */
-    uint64_t limit = MAX_VARS, top = 0;
+    const uint8_t *eol = row;
+    while (CLASS[*eol] != EOL)
+        eol++;
+    out->pos = offset;
+    out->row_lits = (eol - row) / 2 + 1;
+    return FULL;
+}
+
+/* Parses the lines of base from p up to last, a line break, into out;
+ * base is the text from offset at on. */
+static int64_t read_lines(const uint8_t *base, const uint8_t *p, const uint8_t *last,
+                          int64_t at, parsed *out)
+{
     pkind *kinds[2] = {&out->hard, &out->soft};
-    for (int i = 0; i < 2; i++) {
-        pkind *k = kinds[i];
-        k->num_lits = k->num_clauses = k->empty = k->dropped = k->total = k->max_var = 0;
-        k->max_weight = 0;
-    }
-    while ((p = skip_blanks(p, end)) < end) {
+    uint64_t limit = out->format == CLASSIC ? (uint64_t)out->num_vars : MAX_VARS;
+    for (;;) {
+        p = skip_blanks(p);
         if (CLASS[*p] == EOL) {
-            p++;
+            if (p++ == last)
+                return PARSED;
             continue;
         }
         if (*p == 'c') { /* a comment line */
-            for (; p < end && CLASS[*p] != EOL; p++)
-                if (CLASS[*p] == DECLINE)
-                    return 1;
+            while (CLASS[*p] < EOL)
+                p++;
+            if (CLASS[*p] == DECLINE)
+                return DECLINED;
             continue;
         }
-        if (classic < 0 && (classic = *p == 'p')) {
-            if (!read_header(&p, end, &limit, &top))
-                return 1;
-            out->num_vars = (int64_t)limit;
+        if (out->format == UNSEEN && *p == 'p') {
+            uint64_t num_vars, top;
+            if (!read_header(&p, &num_vars, &top))
+                return DECLINED;
+            out->format = CLASSIC;
+            out->num_vars = (int64_t)(limit = num_vars);
+            out->top = (int64_t)top;
             continue;
         }
+        if (out->format == UNSEEN)
+            out->format = HEADERLESS;
+        const uint8_t *row = p;
         uint64_t weight = 1;
-        int hard = !classic && *p == 'h' && token_end(p + 1, end);
+        int hard = out->format == HEADERLESS && *p == 'h' && ends_token(p[1]);
         if (hard)
             p++;
-        else if (!read_number(&p, end, &weight))
-            return 1;
+        else if (!read_number(&p, &weight))
+            return DECLINED;
         else
-            hard = classic && weight >= top;
+            hard = out->format == CLASSIC && weight >= (uint64_t)out->top;
         pkind *k = kinds[!hard];
-        if (!hard) {
-            if (weight < 1 || weight > (uint64_t)(INT64_MAX - k->total))
-                return 1;
-            k->total += (int64_t)weight;
-        }
-        int64_t start = k->num_lits;
-        for (;;) {
-            const uint8_t *tok = p = skip_blanks(p, end);
-            int neg = p < end && *p == '-';
-            uint64_t var = 0;
+        if (!k->first)
+            k->first = at + (row - base) + 1;
+        if (!hard && (weight < 1 || weight > (uint64_t)(INT64_MAX - k->total)))
+            return DECLINED;
+        if (k->num_clauses == k->rows_cap)
+            return stop_before(out, row, at + (row - base));
+        int32_t *lits = k->lits + k->num_lits, *q = lits, *full = k->lits + k->lits_cap;
+        /* seen has bit v % 64 of each variable v of the row, twice those set
+         * twice: a repeated variable sets one, and only then is the row
+         * normalized. */
+        uint64_t row_max = 0, seen = 0, twice = 0;
+        for (p = skip_blanks(p);; p = skip_blanks(p + 1)) {
+            const uint8_t *tok = p;
+            uint32_t neg = *p == '-';
+            uint64_t var;
             p += neg;
-            if (cls(p, end) != DIGIT)
-                return 1;
-            do {
-                var = var * 10 + (uint64_t)(*p - '0');
-                if (var > limit)
-                    return 1;
-            } while (cls(++p, end) == DIGIT);
-            if (!token_end(p, end))
-                return 1;
-            if (!var) { /* must be the terminating "0" */
-                if (p - tok != 1 || cls(skip_blanks(p, end), end) != EOL)
-                    return 1;
+            if (!read_digits(&p, &var))
+                return DECLINED;
+            if (!var) { /* must be the terminating "0", the line's last token */
+                if (p - tok != 1 || CLASS[*(p = skip_blanks(p))] != EOL)
+                    return DECLINED;
                 break;
             }
-            if (fill)
-                k->lits[k->num_lits] = neg ? -(int32_t)var : (int32_t)var;
-            k->num_lits++;
-            if ((int64_t)var > k->max_var)
-                k->max_var = (int64_t)var;
+            if (var > limit || CLASS[*p] != BLANK) /* a blank: the "0" is still to come */
+                return DECLINED;
+            if (q == full)
+                return stop_before(out, row, at + (row - base));
+            *q++ = (int32_t)(((uint32_t)var ^ -neg) + neg);
+            row_max = var > row_max ? var : row_max;
+            uint64_t bit = (uint64_t)1 << (var & 63);
+            twice |= seen & bit;
+            seen |= bit;
         }
-        int64_t w = hard ? 1 : (int64_t)weight, len = k->num_lits - start;
-        if (fill && len > 1) {
-            if ((len = normalize(k->lits + start, len)) < 0)
-                return 1;
-            k->num_lits = start + len;
-            if (!len) {
-                k->dropped += w;
-                continue;
-            }
+        int64_t w = hard ? 1 : (int64_t)weight, len = q - lits;
+        if (!hard)
+            k->total += w;
+        if ((int64_t)row_max > k->max_var)
+            k->max_var = (int64_t)row_max;
+        if (twice && (len = normalize(lits, len)) <= 0) {
+            if (len < 0)
+                return DECLINED;
+            k->dropped += w;
+            continue;
         }
         if (!len) {
             k->empty += w;
             continue;
         }
-        if (fill) {
-            k->off[k->num_clauses + 1] = (int32_t)k->num_lits;
-            if (!hard) {
-                k->weights[k->num_clauses] = w;
-                if (w > k->max_weight)
-                    k->max_weight = w;
-            }
+        if (k->num_lits + len > INT32_MAX)
+            return DECLINED;
+        k->num_lits += len;
+        k->off[++k->num_clauses] = (int32_t)k->num_lits;
+        if (!hard) {
+            k->weights[k->num_clauses - 1] = w;
+            if (w > k->max_weight)
+                k->max_weight = w;
         }
-        k->num_clauses++;
     }
-    if (out->hard.num_lits > INT32_MAX || out->soft.num_lits > INT32_MAX)
-        return 1;
-    if (classic != 1)
+}
+
+/* Parses text[0:n] from out->pos on: see above. */
+int64_t kn_parse(const uint8_t *text, int64_t n, parsed *out)
+{
+    /* text[pos:cut] is whole lines, and 8 bytes can be read at any of them */
+    int64_t pos = out->pos, cut = n - 7, r;
+    while (cut > pos && CLASS[text[cut - 1]] != EOL)
+        cut--;
+    if (cut > pos && (r = read_lines(text, text + pos, text + cut - 1, 0, out)))
+        return r;
+    if (cut < pos)
+        cut = pos;
+    if (cut < n) { /* the rest, from a copy that ends in "\n" and 8 more bytes */
+        int64_t m = n - cut;
+        uint8_t *tail = calloc((size_t)m + 9, 1);
+        if (!tail)
+            return DECLINED;
+        memcpy(tail, text + cut, (size_t)m);
+        tail[m] = '\n';
+        r = read_lines(tail, tail, tail + m, cut, out);
+        free(tail);
+        if (r)
+            return r;
+    }
+    out->pos = n;
+    if (out->format != CLASSIC)
         out->num_vars = out->hard.max_var > out->soft.max_var ? out->hard.max_var
                                                               : out->soft.max_var;
-    return 0;
+    return PARSED;
 }

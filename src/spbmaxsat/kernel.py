@@ -14,9 +14,10 @@ directory), and solve then runs the Python reference (pywalk). Importing
 the package compiles nothing: solve builds the kernel at its first call,
 and the CLI's solve and bench call load() before they start their clocks.
 
-parse() reads WCNF bytes into the arrays of two Clauses, or declines and
-leaves the text to the Python parser; it uses a library that is built
-already and never compiles one. start() hands the kernel the formula's own
+parse() reads WCNF bytes into the arrays of two Clauses in one pass,
+growing them when kn_parse stops before a row that does not fit, or
+declines and leaves the text to the Python parser; it uses a library that
+is built already and never compiles one. start() hands the kernel the formula's own
 clause arrays, the Mersenne Twister words of the seed (which the kernel
 computes once per seed, as random.Random(seed) does) and one zeroed buffer
 that the kernel carves its arrays from (an anonymous mmap from ARENA_MMAP
@@ -35,7 +36,6 @@ import importlib.machinery
 import mmap
 import os
 import re
-import shlex
 import struct
 import tempfile
 import zlib
@@ -60,6 +60,9 @@ MT_WORDS = 625  # the Mersenne Twister's 624 state words and its index
 # bytearray: a 3 KB mmap takes about 12 us to make and write once, a
 # bytearray 0.2 us, and a suite of small solves makes hundreds of walks.
 ARENA_MMAP = 1 << 20
+# The items in each array of a parse before its first growth (see parse).
+PARSE_CAPACITY = 1 << 14
+_FULL = 2  # kn_parse's return when a row does not fit
 
 _SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
@@ -115,7 +118,8 @@ def _build(path: Path) -> None:
     """Compile kernel.c to path through a temporary file in its directory, so
     that a concurrent loader never sees a half-written library, then delete
     the stale libraries beside it."""
-    import subprocess  # only here: a cached build needs no subprocess
+    import shlex  # only here: a cached build needs neither
+    import subprocess
 
     path.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=path.parent)
@@ -155,7 +159,7 @@ def load() -> Optional[ctypes.CDLL]:
     lib.kn_setup.restype = _I
     lib.kn_advance.argtypes = [ctypes.POINTER(_State), _I]
     lib.kn_advance.restype = _I
-    lib.kn_parse.argtypes = [ctypes.c_char_p, _I, _I, ctypes.POINTER(_Parsed)]
+    lib.kn_parse.argtypes = [ctypes.c_char_p, _I, ctypes.POINTER(_Parsed)]
     lib.kn_parse.restype = _I
     lib.kn_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p, _I]
     lib.kn_seed.restype = None
@@ -167,10 +171,6 @@ def load() -> Optional[ctypes.CDLL]:
 _load_calls = load.cache_info
 
 
-def _zeros(code: str, n: int) -> array:
-    return array(code, [0]) * n
-
-
 @functools.lru_cache(maxsize=64)  # suite runs start hundreds of walks from one seed
 def _seeded(lib: ctypes.CDLL, seed: int) -> array:
     """The 625 Mersenne Twister words (state, then index) that kernel.c's
@@ -178,9 +178,53 @@ def _seeded(lib: ctypes.CDLL, seed: int) -> array:
     does. Shared between walks: kn_setup copies them and nothing writes them."""
     seed = abs(seed)
     words = max(1, -(-seed.bit_length() // 32))
-    mt = _zeros("I", MT_WORDS)
+    mt = array("I", [0]) * MT_WORDS
     lib.kn_seed(mt.buffer_info()[0], seed.to_bytes(4 * words, "little"), words)
     return mt
+
+
+# _fit appends zeros from this block: a zero buffer as large as a growth
+# would be fresh pages, a page fault for each that is read.
+_ZEROS = memoryview(bytes(1 << 14))
+
+
+def _fit(c: Clauses, k, num_lits: int, num_rows: int) -> None:
+    """Grow the arrays of c in place, with zeros, to hold at least num_lits
+    literals and num_rows rows, and point k, their kind in kn_parse's
+    parsed, at them."""
+    for a, n in ((c.lits, num_lits), (c.off, num_rows + 1), (c.weights, num_rows)):
+        if a is not None and len(a) < n:
+            extra = (n - len(a)) * a.itemsize
+            for _ in range(extra // len(_ZEROS)):
+                a.frombytes(_ZEROS)
+            a.frombytes(_ZEROS[:extra % len(_ZEROS)])
+    k.lits, k.off = c.lits.buffer_info()[0], c.off.buffer_info()[0]
+    k.lits_cap, k.rows_cap = len(c.lits), len(c.off) - 1
+    if c.weights is not None:
+        k.weights = c.weights.buffer_info()[0]
+
+
+def _wanted(used: int, need: int, cap: int, left: int, span: int) -> int:
+    """The capacity for an array that holds used items and needs room for
+    need more: cap if that fits, else room for what the bytes left hold at
+    the kind's density over the span of bytes since its first row, and 1/16
+    more, but for no more than used items beyond need. The kinds may come
+    in blocks, hard rows first: the density of one need not last."""
+    if used + need <= cap:
+        return cap
+    return used + need + min(used, used * left * 17 // (16 * max(1, span)))
+
+
+def _release_free_heap() -> None:
+    """Hand the heap's free pages back to the OS, where the C library can
+    (glibc's malloc_trim). A grown array that realloc moved, or whose slack
+    was cut, leaves a free block in the heap that stays resident: 0.5 MB
+    after parsing perfbench's WPMS file, which the search's peak RSS would
+    carry."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except AttributeError:  # not glibc
+        pass
 
 
 def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
@@ -188,27 +232,39 @@ def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
     from the WCNF text data, read by kernel.c's kn_parse; None when the
     kernel is not built, did not load or kn_parse declines (on any error,
     for one). A parse never compiles the kernel: a process that only reads
-    instances (the oracle) runs no compiler."""
+    instances (the oracle) runs no compiler.
+
+    Each array starts with PARSE_CAPACITY items (fewer for a short text).
+    When kn_parse stops before a row that does not fit, the arrays of that
+    row's kind grow (see _wanted) and kn_parse goes on from that row; the
+    slack is cut at the end.
+    """
     lib = load() if _load_calls().currsize or library_path().exists() else None
-    out = _Parsed()
-    if lib is None or lib.kn_parse(data, len(data), 0, out):  # checks and counts
+    if lib is None:
         return None
+    n, out = len(data), _Parsed()
     hard, soft = Clauses(), Clauses(weighted=True)
     pairs = ((hard, out.hard), (soft, out.soft))
+    first = min(PARSE_CAPACITY, n // 2 + 1)  # n bytes hold at most n // 2 + 1 rows or literals
     for c, k in pairs:
-        c.lits, c.off = _zeros("i", k.num_lits), _zeros("i", k.num_clauses + 1)
-        k.lits, k.off = c.lits.buffer_info()[0], c.off.buffer_info()[0]
-        if c.weights is not None:
-            c.weights = _zeros("q", k.num_clauses)
-            k.weights = c.weights.buffer_info()[0]
-    if lib.kn_parse(data, len(data), 1, out):  # out of memory
+        _fit(c, k, first, first)
+    grown = False
+    while (status := lib.kn_parse(data, n, out)) == _FULL:
+        left, grown = n - out.pos, True
+        for c, k in pairs:
+            span = out.pos - k.first + 1
+            _fit(c, k, _wanted(k.num_lits, out.row_lits, k.lits_cap, left, span),
+                 _wanted(k.num_clauses, 1, k.rows_cap, left, span))
+    if status:
         return None
-    for c, k in pairs:  # normalizing may have stored less than counted
+    for c, k in pairs:  # the arrays' slack
         del c.lits[k.num_lits:], c.off[k.num_clauses + 1:]
         if c.weights is not None:
             del c.weights[k.num_clauses:]
         c.empty, c.dropped, c.total, c.max_var = k.empty, k.dropped, k.total, k.max_var
         c.max_weight = k.max_weight
+    if grown:
+        _release_free_heap()
     return out.num_vars, hard, soft
 
 

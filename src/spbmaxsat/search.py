@@ -21,6 +21,7 @@ TERM_TIME = "time"
 TERM_FLIPS = "flips"
 TERM_OPTIMUM = "optimum"
 TERM_INFEASIBLE = "infeasible"
+TERM_STOPPED = "stopped"
 
 
 # bitstring's map from the bytes 0 and 1 to the characters "0" and "1".
@@ -149,8 +150,11 @@ def solve(
     formula: Formula,
     config: Optional[SolverConfig] = None,
     on_improvement: Optional[Callable[[int], None]] = None,
+    stop: Optional[Callable[[], bool]] = None,
 ) -> SolveResult:
-    """Run the local search until the flip or time budget is exhausted.
+    """Run the local search until the flip or time budget is exhausted, or
+    until stop() returns true; it is asked where the time is checked, every
+    1024 flips.
 
     Every strict improvement triggers on_improvement(cost) immediately.
     The start state and the flips come from the C kernel when it loads
@@ -193,10 +197,13 @@ def solve(
                 break
         if max_flips is not None and flips >= max_flips:
             break
-        if cutoff is not None and (flips & 1023) == 0 \
-                and perf_counter() - t0 >= cutoff:
-            termination = TERM_TIME
-            break
+        if (flips & 1023) == 0:
+            if stop is not None and stop():
+                termination = TERM_STOPPED
+                break
+            if cutoff is not None and perf_counter() - t0 >= cutoff:
+                termination = TERM_TIME
+                break
         # Up to the next time check, within the flip budget.
         n = 1024 - (flips & 1023)
         if max_flips is not None:

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -143,6 +147,40 @@ class TestSolveCommand:
                 assert load(f1_path).cost([0] + [int(ch) for ch in v[0]]) == o[-1]
             else:
                 assert s == ["s UNKNOWN"] and v == []
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_a_stopped_run_prints_its_best_model(self, tmp_path, signum):
+        n, hard, soft = random_parts(random.Random(5), min_vars=200, max_vars=200,
+                                     min_clauses=800, max_clauses=800, max_weight=1000)
+        path = tmp_path / "w200.wcnf"
+        path.write_text(render_old(n, hard, soft))
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open(tmp_path / "err", "w+") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "spbmaxsat.cli", "solve", str(path),
+                                     "--time-limit", "30"], stdout=subprocess.PIPE,
+                                    stderr=err, text=True, env=env)
+            try:
+                first = proc.stdout.readline()
+                assert first.startswith("o "), first
+                proc.send_signal(signum)
+                proc.wait(timeout=20)  # well before the time limit
+                out = first + proc.stdout.read()  # a few lines: the pipe never filled
+            finally:
+                proc.kill()
+                proc.stdout.close()
+            err.seek(0)
+            err = err.read()
+        assert proc.returncode == 0, err
+        assert "termination=stopped" in err
+        o, s, v = protocol_lines(out)
+        assert s == ["s SATISFIABLE"] and len(v) == 1
+        assert load_wcnf(path).cost([0, *map(int, v[0])]) == o[-1]
+
+    def test_solve_restores_the_signal_handlers(self, f1_path, capsys):
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+        assert main(["solve", f1_path, "--max-flips", "100"]) == 0
+        assert {sig: signal.getsignal(sig) for sig in handlers} == handlers
 
     def test_mode_and_param_flags(self, f1_path, capsys):
         rc = main(["solve", f1_path, "--max-flips", "4000", "--mode",

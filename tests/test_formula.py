@@ -10,8 +10,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spbmaxsat import formula, kernel
-from spbmaxsat.formula import INF, Clauses, Formula, ParseError, _lines, load_wcnf, parse_wcnf
+from spbmaxsat import formula, kernel, pyparse
+from spbmaxsat.formula import INF, Clauses, Formula, ParseError, load_wcnf, parse_wcnf
+from spbmaxsat.pyparse import _lines
 from spbmaxsat.search import SolverConfig, solve
 
 from gen import random_parts, render_new, render_old
@@ -177,7 +178,7 @@ def test_parse_error_kind_line_and_message(text, kind, line_no, message):
 def test_parse_error_line_past_the_first_chunk(monkeypatch, text, kind, line_no, message, eol):
     # Comment and blank lines first, so that the error lies many chunks in.
     monkeypatch.setattr(kernel, "load", lambda: None)  # the Python parser's chunks
-    monkeypatch.setattr(formula, "_CHUNK", 64)
+    monkeypatch.setattr(pyparse, "_CHUNK", 64)
     prefix = ["c a comment line", "", " \t"] * 100
     with pytest.raises(ParseError) as exc:
         parse_wcnf(eol.join(prefix + text.split("\n")))
@@ -340,13 +341,13 @@ def test_parser_reads_what_formula_builds_from_the_lists(case):
 @given(st.lists(st.sampled_from(EOLS + ["a", " ", "0"])).map("".join))
 def test_chunks_cut_only_after_whole_line_breaks(text):
     for chunk in (1, 2, 3, 64):
-        with mock.patch.object(formula, "_CHUNK", chunk):
+        with mock.patch.object(pyparse, "_CHUNK", chunk):
             assert list(_lines(text)) == text.splitlines()
 
 
 @pytest.mark.parametrize("eol", EOLS)
 def test_chunks_stay_small_whatever_the_line_break(monkeypatch, eol):
-    monkeypatch.setattr(formula, "_CHUNK", 1024)
+    monkeypatch.setattr(pyparse, "_CHUNK", 1024)
     text = ("h 1 -2 3 0" + eol) * 5000
     tracemalloc.start()
     try:
@@ -365,7 +366,7 @@ def test_parser_reads_many_chunks(monkeypatch):
     text = render_new(n, hard, soft)
     expected = formula_fields(parse_wcnf(text))
     monkeypatch.setattr(kernel, "load", lambda: None)  # the Python parser's chunks
-    monkeypatch.setattr(formula, "_CHUNK", 64)
+    monkeypatch.setattr(pyparse, "_CHUNK", 64)
     assert formula_fields(parse_wcnf(text)) == expected
     assert formula_fields(parse_wcnf(text.replace("h", "c x\nh", 9))) == expected
     assert formula_fields(parse_wcnf(text.replace("\n", "\r"))) == expected

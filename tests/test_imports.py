@@ -101,3 +101,22 @@ def test_kernel_solve_loads_no_python_reference():
     assert loads(solve.format("", "c"), *reference) == []
     # Without the kernel, the probe sees them all.
     assert loads(solve.format("kernel.load = lambda: None", "python"), *reference) == reference
+
+
+def test_kernel_solve_loads_neither_the_python_parser_nor_shlex(tmp_path):
+    """solve parses in the kernel: the Python parser (pyparse) is imported
+    only for a text that the kernel declines, and shlex only to split $CC
+    for a build or a bench --config entry."""
+    from spbmaxsat import kernel
+
+    if kernel.load() is None:
+        pytest.skip("the C kernel did not build or load")
+    path = tmp_path / "f.wcnf"
+    path.write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
+    solve = ("import contextlib, io\nfrom spbmaxsat import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert cli.main(['solve', {str(path)!r}, '--max-flips', '100']) == 0")
+    assert loads(solve, "spbmaxsat.pyparse", "shlex") == []
+    # A declined text (a literal that only int() reads) is parsed in Python.
+    declined = "from spbmaxsat import parse_wcnf\nassert parse_wcnf('h +1 0\\n').num_vars == 1"
+    assert loads(declined, "spbmaxsat.pyparse") == ["spbmaxsat.pyparse"]

@@ -12,6 +12,7 @@ package, so that they control its build cache.
 """
 from __future__ import annotations
 
+import ctypes
 import mmap
 import os
 import random
@@ -438,6 +439,83 @@ def test_c_parser_reads_plain_text(lib, name):
     expected = python_parse(text)
     assert not isinstance(expected, str)
     assert c_parse(text) == expected
+
+
+# --- one pass, grown and resumed ------------------------------------------
+
+def c_parse_at(capacity: int, text: str):
+    """c_parse with PARSE_CAPACITY items in each array at first."""
+    with mock.patch.object(kernel, "PARSE_CAPACITY", capacity):
+        return c_parse(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wcnf_texts())
+def test_c_parser_grows_and_resumes_row_by_row(lib, case):
+    # With room for one item at first, every row that is stored grows an
+    # array and resumes kn_parse at its start.
+    for text in (case[0], made_c_readable(case[0])):
+        assert c_parse_at(1, text) == c_parse(text)
+
+
+@pytest.mark.parametrize("text", [*PLAIN_TEXTS.values(), *ERROR_TEXTS],
+                         ids=[*PLAIN_TEXTS, *(f"error-{i}" for i in range(len(ERROR_TEXTS)))])
+def test_c_parser_reads_the_same_when_every_row_grows_an_array(lib, text):
+    assert c_parse_at(1, text) == c_parse(text)
+
+
+def test_c_parser_grows_an_array_for_a_row_longer_than_the_text_read(lib):
+    # A long row after short ones: its literals are more than any estimate
+    # from the rows before it.
+    text = "h 1 2 0\n" * 3 + long_row(range(40, 400))
+    assert c_parse_at(4, text) == c_parse_at(1 << 20, text) == python_parse(text)
+
+
+def guarded_parse(text: bytes):
+    """kernel.parse of text placed so that it ends where a PROT_NONE page
+    begins: a read past its end faults."""
+    page = mmap.PAGESIZE
+    assert len(text) <= page
+    buf = mmap.mmap(-1, 2 * page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    prot_none = 0
+    assert libc.mprotect(base + page, page, prot_none) == 0, os.strerror(ctypes.get_errno())
+    start = base + page - len(text)
+    ctypes.memmove(start, text, len(text))
+    lib = kernel.load()
+
+    class Guarded:  # kn_parse on the guarded copy of the bytes it is given
+        def kn_parse(self, data, n, out):
+            assert data == text
+            return lib.kn_parse(ctypes.cast(start, ctypes.c_char_p), n, out)
+
+    with mock.patch.object(kernel, "load", Guarded):
+        return kernel.parse(text)
+
+
+GUARDED_TEXTS = {
+    "digit": "p wcnf 3 2 9\n9 1 -2 0\n4 3 0",
+    "digit, declined": "h 1 2 0\nh 1 2",
+    "long number, declined": "h 1 0\n3 " + "0" * 30 + "1",
+    "blank": "h 1 2 0\n5 -1 0 \t ",
+    "cr": "h 1 2 0\r\n5 -1 0\r",
+    "comment": "h 1 2 0\n5 -1 0\nc last line",
+    "only a comment": "c x",
+    "header": "p wcnf 3 0 9",
+    "h": "h",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("capacity", [1, 1 << 14])
+@pytest.mark.parametrize("name", GUARDED_TEXTS)
+def test_c_parser_reads_no_byte_past_the_text(lib, name, capacity, monkeypatch):
+    monkeypatch.setattr(kernel, "PARSE_CAPACITY", capacity)
+    text = GUARDED_TEXTS[name]
+    fields = guarded_parse(text.encode())
+    assert (None if fields is None else parse_fields(Formula(*fields))) == c_parse(text)
 
 
 def test_parse_wcnf_and_load_wcnf_use_the_c_parser(lib, tmp_path):
