@@ -2,7 +2,9 @@
  * weighting steps of search.solve in C.
  *
  * A straight port of decimation_init and random_init, SearchState's build,
- * state.flip (with refresh_candidacy and the IndexSet add/discard),
+ * state.flip (with refresh_candidacy and the IndexSet add/discard; each
+ * clause keeps the XOR of its satisfying variables, sat_xor, so a flip
+ * that leaves one true literal reads its variable without a scan),
  * search._best, pick_from_falsified, and weighting.spb_weighting and
  * decay_weights; and of bms_pick, which scores each distinct sample once
  * and stops sampling a small candidate set once it has drawn all of it
@@ -41,12 +43,15 @@ enum { PART_BMS_PICK, PART_PICK_FROM_FALSIFIED, PART_FLIP, PART_SPB_WEIGHTING, P
 
 /* One clause kind. Literals are stored per clause (CSR: lits[off[c]] up to
  * lits[off[c + 1]]); occ lists the clause ids of each literal in clause
- * order, slot 2 * v + 1 for v and 2 * v for -v. */
+ * order, slot 2 * v + 1 for v and 2 * v for -v. sat_count counts each
+ * clause's true literals and sat_xor XORs their variables (a clause holds
+ * each variable once), so where the count is 1 sat_xor is the one
+ * satisfying variable. */
 typedef struct {
     int64_t num_clauses;
     const int32_t *lits, *off;
     int32_t *occ_off, *occ;
-    int32_t *sat_count, *sat_var;
+    int32_t *sat_count, *sat_xor;
     int32_t *falsified, *falsified_pos; /* IndexSet: members, then positions */
     int64_t num_falsified;
 } kind;
@@ -275,16 +280,21 @@ static void refresh_all(kstate *s)
 /* The per-kind loop of state.flip, for a kind whose weights have type W and
  * whose scores are kept in an array of the same type. v has just been set
  * to 1 - old; the variables whose score changed are appended to
- * s->touched from position nt, and the new end is returned. */
+ * s->touched from position nt, and the new end is returned. v's literal
+ * turns true or false in each clause visited, so v is XORed into its
+ * sat_xor: where one true literal is left, sat_xor is its variable, and no
+ * clause is scanned. */
 #define DEFINE_FLIP_KIND(NAME, W)                                                  \
     static int64_t NAME(kstate *s, kind *c, const W *weight, W *scores, int32_t v, \
                         int old, int64_t nt)                                       \
     {                                                                              \
-        const int32_t *values = s->values, *lits = c->lits, *off = c->off;         \
-        int32_t *count = c->sat_count, *sat_var = c->sat_var, *t = s->touched;     \
+        const int32_t *lits = c->lits, *off = c->off;                              \
+        int32_t *count = c->sat_count, *sat_xor = c->sat_xor, *t = s->touched;     \
         int64_t made = 2 * (int64_t)v + !old, broken = 2 * (int64_t)v + old;       \
         for (int32_t j = c->occ_off[made]; j < c->occ_off[made + 1]; j++) {        \
-            int32_t cid = c->occ[j], n = count[cid];                               \
+            int32_t cid = c->occ[j], n = count[cid], x = sat_xor[cid];             \
+            sat_xor[cid] = x ^ v;                                                  \
+            count[cid] = n + 1;                                                    \
             if (n == 0) {                                                          \
                 W w = weight[cid];                                                 \
                 set_discard(c->falsified, c->falsified_pos, &c->num_falsified, cid); \
@@ -294,19 +304,15 @@ static void refresh_all(kstate *s)
                     t[nt++] = u;                                                   \
                 }                                                                  \
                 scores[v] -= w;                                                    \
-                sat_var[cid] = v;                                                  \
-                count[cid] = 1;                                                    \
             } else if (n == 1) {                                                   \
-                int32_t x = sat_var[cid];                                          \
                 scores[x] += weight[cid];                                          \
                 t[nt++] = x;                                                       \
-                count[cid] = 2;                                                    \
-            } else {                                                               \
-                count[cid] = n + 1;                                                \
             }                                                                      \
         }                                                                          \
         for (int32_t j = c->occ_off[broken]; j < c->occ_off[broken + 1]; j++) {    \
-            int32_t cid = c->occ[j], n = count[cid];                               \
+            int32_t cid = c->occ[j], n = count[cid], x = sat_xor[cid] ^ v;         \
+            sat_xor[cid] = x;                                                      \
+            count[cid] = n - 1;                                                    \
             if (n == 1) {                                                          \
                 W w = weight[cid];                                                 \
                 set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
@@ -316,21 +322,9 @@ static void refresh_all(kstate *s)
                     scores[u] += w;                                                \
                     t[nt++] = u;                                                   \
                 }                                                                  \
-                count[cid] = 0;                                                    \
             } else if (n == 2) {                                                   \
-                int32_t x = 0;                                                     \
-                for (int32_t l = off[cid]; l < off[cid + 1]; l++) {                \
-                    if (lit_true(values, lits[l])) {                               \
-                        x = abs(lits[l]);                                          \
-                        break;                                                     \
-                    }                                                              \
-                }                                                                  \
-                sat_var[cid] = x;                                                  \
                 scores[x] -= weight[cid];                                          \
                 t[nt++] = x;                                                       \
-                count[cid] = 1;                                                    \
-            } else {                                                               \
-                count[cid] = n - 1;                                                \
             }                                                                      \
         }                                                                          \
         return nt;                                                                 \
@@ -515,7 +509,7 @@ static void decay_weights(kstate *s)
             for (int32_t l = h->off[cid]; l < h->off[cid + 1]; l++)
                 s->hscore[abs(h->lits[l])] += hw[cid];
         } else if (h->sat_count[cid] == 1) {
-            s->hscore[h->sat_var[cid]] -= hw[cid];
+            s->hscore[h->sat_xor[cid]] -= hw[cid];
         }
     }
     refresh_all(s);
@@ -595,8 +589,8 @@ static void random_init(kstate *s)
 /* decimation_init's assign(): set v, then per kind mark the clauses it
  * satisfies and queue those it leaves with one unassigned literal. Until
  * kn_setup overwrites them, sat_count holds each clause's unassigned
- * literals, sat_var whether it is satisfied, and falsified the unit queue
- * (at most one entry per clause: a count reaches 1 once). */
+ * literals, sat_xor (as a flag) whether it is satisfied, and falsified the
+ * unit queue (at most one entry per clause: a count reaches 1 once). */
 static void assign(kstate *s, int32_t v, int value, int64_t *queued)
 {
     s->values[v] = value;
@@ -605,10 +599,10 @@ static void assign(kstate *s, int32_t v, int value, int64_t *queued)
         kind *c = kinds[i];
         int64_t sat = 2 * (int64_t)v + value, fal = 2 * (int64_t)v + !value;
         for (int32_t j = c->occ_off[sat]; j < c->occ_off[sat + 1]; j++)
-            c->sat_var[c->occ[j]] = 1;
+            c->sat_xor[c->occ[j]] = 1;
         for (int32_t j = c->occ_off[fal]; j < c->occ_off[fal + 1]; j++) {
             int32_t cid = c->occ[j];
-            if (--c->sat_count[cid] == 1 && !c->sat_var[cid])
+            if (--c->sat_count[cid] == 1 && !c->sat_xor[cid])
                 c->falsified[queued[i]++] = cid;
         }
     }
@@ -635,7 +629,7 @@ static void decimation_init(kstate *s)
         kind *c = kinds[i];
         for (int32_t cid = 0; cid < c->num_clauses; cid++) {
             c->sat_count[cid] = c->off[cid + 1] - c->off[cid];
-            c->sat_var[cid] = 0;
+            c->sat_xor[cid] = 0;
             if (c->sat_count[cid] == 1)
                 c->falsified[queued[i]++] = cid;
         }
@@ -648,13 +642,13 @@ static void decimation_init(kstate *s)
         int32_t lit = 0;
         while (!lit && head < queued[0]) {
             int32_t cid = h->falsified[head++];
-            if (!h->sat_var[cid] && h->sat_count[cid] == 1)
+            if (!h->sat_xor[cid] && h->sat_count[cid] == 1)
                 lit = unit_literal(s, h, cid);
         }
         while (!lit && queued[1]) {
             int64_t i = randbelow(s->mt, queued[1]);
             int32_t cid = sf->falsified[i];
-            if (sf->sat_var[cid] || sf->sat_count[cid] != 1)
+            if (sf->sat_xor[cid] || sf->sat_count[cid] != 1)
                 sf->falsified[i] = sf->falsified[--queued[1]];
             else
                 lit = unit_literal(s, sf, cid);
@@ -671,9 +665,9 @@ static void decimation_init(kstate *s)
     s->values[0] = 0;
 }
 
-/* SearchState._build_kind for one kind: satisfied-literal counts, the last
- * satisfying variable of each clause (read only where the count is 1, where
- * it is the sole one), the falsified set in clause order, and each clause's
+/* SearchState._build_kind for one kind: satisfied-literal counts, the XOR
+ * of each clause's satisfying variables (where the count is 1, the sole
+ * one), the falsified set in clause order, and each clause's
  * make/break weight added into scores (state._add_scores). Returns the
  * falsified weight. */
 #define DEFINE_BUILD_KIND(NAME, W)                                                 \
@@ -686,10 +680,10 @@ static void decimation_init(kstate *s)
             for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {              \
                 int t = lit_true(s->values, c->lits[l]);                           \
                 n += t;                                                            \
-                x = t ? abs(c->lits[l]) : x; /* a select, not a branch */          \
+                x ^= abs(c->lits[l]) & -t; /* no branch */                         \
             }                                                                      \
             c->sat_count[cid] = n;                                                 \
-            c->sat_var[cid] = x;                                                   \
+            c->sat_xor[cid] = x;                                                   \
             c->falsified_pos[cid] = -1;                                            \
             if (n == 0) {                                                          \
                 set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
@@ -729,7 +723,7 @@ static uintptr_t carve(kstate *s, uintptr_t at)
         CARVE(at, c->occ_off, 2 * vars + 1);
         CARVE(at, c->occ, c->off[m]);
         CARVE(at, c->sat_count, m);
-        CARVE(at, c->sat_var, m);
+        CARVE(at, c->sat_xor, m);
         CARVE(at, c->falsified, m);
         CARVE(at, c->falsified_pos, m);
     }

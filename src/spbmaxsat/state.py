@@ -56,9 +56,12 @@ class SearchState:
     """Mutable solver state over one shared immutable Formula.
 
     values holds the 0/1 assignment (index 0 unused) and is updated in
-    place by flip(); every flip stamp starts at 0 and step at 1. The
-    formula's tuple views, occurrence lists and soft weights are looked up
-    once, at build, for the per-flip code.
+    place by flip(); every flip stamp starts at 0 and step at 1. Per clause
+    kind, sat_count_* counts each clause's true literals and sat_xor_* is
+    the XOR of their variables (a clause holds each variable once), so where
+    the count is 1 it is the one satisfying variable. The formula's tuple
+    views, occurrence lists and soft weights are looked up once, at build,
+    for the per-flip code.
     """
 
     __slots__ = (
@@ -80,9 +83,9 @@ class SearchState:
         "spb",
         "current_obj",
         "sat_count_hard",
-        "sat_var_hard",
+        "sat_xor_hard",
         "sat_count_soft",
-        "sat_var_soft",
+        "sat_xor_soft",
         "falsified_hard",
         "falsified_soft",
         "hscore",
@@ -116,9 +119,9 @@ class SearchState:
         values = self.values
         self.hscore = [0.0] * (n + 1)
         self.softdelta = [0] * (n + 1)
-        self.sat_count_hard, self.sat_var_hard, self.falsified_hard, _ = _build_kind(
+        self.sat_count_hard, self.sat_xor_hard, self.falsified_hard, _ = _build_kind(
             values, self.hard_rows, self.hard_vars, self.hard_weight, self.hscore)
-        self.sat_count_soft, self.sat_var_soft, self.falsified_soft, soft_falsified = _build_kind(
+        self.sat_count_soft, self.sat_xor_soft, self.falsified_soft, soft_falsified = _build_kind(
             values, self.soft_rows, self.soft_vars, self.soft_weight, self.softdelta)
         self.current_obj = f.soft_base + soft_falsified
         self.goodvars = IndexSet(n + 1)
@@ -129,29 +132,30 @@ def _build_kind(values, clauses, clause_vars, weights, scores):
     """Satisfied-literal bookkeeping of one clause kind (hard or soft).
 
     Adds each clause's make/break weight into scores and returns its
-    satisfied-literal counts, a satisfying variable per clause (read only
-    where the count is 1, where it is the sole one), falsified set and
-    falsified weight total.
+    satisfied-literal counts, the XOR of each clause's satisfying variables
+    (where the count is 1, the sole one), falsified set and falsified
+    weight total.
     """
     count = [0] * len(clauses)
-    sat_var = [0] * len(clauses)
+    sat_xor = [0] * len(clauses)
     falsified = IndexSet(len(clauses))
     falsified_weight = 0
     for cid, lits in enumerate(clauses):
-        cnt = 0
+        cnt = x = 0
         for lit in lits:
             if values[lit] if lit > 0 else not values[-lit]:
                 cnt += 1
-                sat_var[cid] = abs(lit)
+                x ^= abs(lit)
         count[cid] = cnt
+        sat_xor[cid] = x
         if cnt == 0:
             falsified.add(cid)
             falsified_weight += weights[cid]
-    _add_scores(count, sat_var, clause_vars, weights, scores)
-    return count, sat_var, falsified, falsified_weight
+    _add_scores(count, sat_xor, clause_vars, weights, scores)
+    return count, sat_xor, falsified, falsified_weight
 
 
-def _add_scores(count, sat_var, clause_vars, weights, scores):
+def _add_scores(count, sat_xor, clause_vars, weights, scores):
     """Add each clause's make/break weight into scores.
 
     Flipping any variable of a falsified clause makes it; flipping the sole
@@ -163,7 +167,7 @@ def _add_scores(count, sat_var, clause_vars, weights, scores):
             for v in clause_vars[cid]:
                 scores[v] += w
         elif cnt == 1:
-            scores[sat_var[cid]] -= weights[cid]
+            scores[sat_xor[cid]] -= weights[cid]
 
 
 def refresh_candidacy(state: SearchState, variables: Iterable[int]) -> None:
@@ -208,25 +212,27 @@ def flip(state: SearchState, v: int) -> None:
         made_h, broken_h = state.occ_hard_pos[v], state.occ_hard_neg[v]
         made_s, broken_s = state.occ_soft_pos[v], state.occ_soft_neg[v]
     touched = []
-    _flip_kind(values, v, made_h, broken_h, state.hard_rows, state.hard_vars, state.hard_weight,
-               state.hscore, state.sat_count_hard, state.sat_var_hard,
-               state.falsified_hard, touched)
-    _flip_kind(values, v, made_s, broken_s, state.soft_rows, state.soft_vars, state.soft_weight,
-               state.softdelta, state.sat_count_soft, state.sat_var_soft,
-               state.falsified_soft, touched)
+    _flip_kind(v, made_h, broken_h, state.hard_vars, state.hard_weight, state.hscore,
+               state.sat_count_hard, state.sat_xor_hard, state.falsified_hard, touched)
+    _flip_kind(v, made_s, broken_s, state.soft_vars, state.soft_weight, state.softdelta,
+               state.sat_count_soft, state.sat_xor_soft, state.falsified_soft, touched)
     refresh_candidacy(state, touched)
 
 
-def _flip_kind(values, v, made, broken, clauses, clause_vars, weights, scores,
-               count, sat_var, falsified, touched) -> None:
+def _flip_kind(v, made, broken, clause_vars, weights, scores, count, sat_xor,
+               falsified, touched) -> None:
     """One clause kind's part of flip, after values[v] changed.
 
     made holds the clauses of the kind where v's literal turned true, broken
-    those where it turned false. Appends every variable whose score changed
-    to touched.
+    those where it turned false. v is XORed into each one's sat_xor, so
+    where one true literal is left, sat_xor is its variable: no clause is
+    scanned. Appends every variable whose score changed to touched.
     """
     for cid in made:
         n = count[cid]
+        x = sat_xor[cid]
+        sat_xor[cid] = x ^ v
+        count[cid] = n + 1
         if n == 0:
             w = weights[cid]
             falsified.discard(cid)
@@ -234,18 +240,15 @@ def _flip_kind(values, v, made, broken, clauses, clause_vars, weights, scores,
                 scores[u] -= w
                 touched.append(u)
             scores[v] -= w
-            sat_var[cid] = v
-            count[cid] = 1
         elif n == 1:
-            x = sat_var[cid]
             scores[x] += weights[cid]
             touched.append(x)
-            count[cid] = 2
-        else:
-            count[cid] = n + 1
 
     for cid in broken:
         n = count[cid]
+        x = sat_xor[cid] ^ v
+        sat_xor[cid] = x
+        count[cid] = n - 1
         if n == 1:
             w = weights[cid]
             falsified.add(cid)
@@ -253,20 +256,9 @@ def _flip_kind(values, v, made, broken, clauses, clause_vars, weights, scores,
             for u in clause_vars[cid]:
                 scores[u] += w
                 touched.append(u)
-            count[cid] = 0
         elif n == 2:
-            # The one literal left true.
-            x = 0
-            for lit in clauses[cid]:
-                if values[lit] if lit > 0 else not values[-lit]:
-                    x = abs(lit)
-                    break
-            sat_var[cid] = x
             scores[x] -= weights[cid]
             touched.append(x)
-            count[cid] = 1
-        else:
-            count[cid] = n - 1
 
 
 def recompute_from_scratch(formula: Formula, values: List[int],

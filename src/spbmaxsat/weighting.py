@@ -88,7 +88,7 @@ def decay_weights(state: SearchState, cfg: SolverConfig) -> bool:
     state.spb.weight = w if w > 1.0 else 1.0
     state.max_hard_weight = max(hw, default=1.0)
     hs = [0.0] * len(state.hscore)
-    _add_scores(state.sat_count_hard, state.sat_var_hard, state.hard_vars, hw, hs)
+    _add_scores(state.sat_count_hard, state.sat_xor_hard, state.hard_vars, hw, hs)
     state.hscore = hs
     refresh_candidacy(state, range(1, len(hs)))
     return True

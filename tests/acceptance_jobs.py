@@ -42,7 +42,9 @@ VARIANTS: Dict[str, Tuple[bool, str, str]] = {
 }
 
 
-def run_suite_job(args) -> dict:
+def run_suite_job(args, seed: int = SOLVE_SEED) -> dict:
+    """One suite run: instance idx of variant, solved from seed; the oracle
+    cost too when with_oracle."""
     idx, variant, with_oracle = args
     unit_weights, preset, mode = VARIANTS[variant]
     f = build_formula(idx, unit_weights)
@@ -50,7 +52,7 @@ def run_suite_job(args) -> dict:
     if with_oracle:
         oracle_cost, _ = brute_force_opt(f)
     result = solve(f, SolverConfig(
-        preset=preset, mode=mode, max_flips=MAX_FLIPS, seed=SOLVE_SEED))
+        preset=preset, mode=mode, max_flips=MAX_FLIPS, seed=seed))
     return {
         "idx": idx,
         "variant": variant,

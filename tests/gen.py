@@ -20,11 +20,13 @@ def random_parts(
     max_clauses: int = 60,
     max_weight: int = 10,
     unit_weights: bool = False,
+    max_len: int = 4,
 ) -> Tuple[int, List[List[int]], List[Tuple[int, List[int]]]]:
     """Random instance with a hard part satisfiable by construction.
 
     A hidden assignment is drawn first; every hard clause is patched to
-    contain at least one literal the hidden assignment satisfies.
+    contain at least one literal the hidden assignment satisfies. Each
+    clause has 1 to max_len distinct variables (at most n).
     """
     n = rng.randint(min_vars, max_vars)
     m = rng.randint(min_clauses, max_clauses)
@@ -33,7 +35,7 @@ def random_parts(
     hard: List[List[int]] = []
     soft: List[Tuple[int, List[int]]] = []
     for _ in range(m):
-        size = rng.randint(1, min(4, n))
+        size = rng.randint(1, min(max_len, n))
         vs = rng.sample(range(1, n + 1), size)
         lits = [v if rng.random() < 0.5 else -v for v in vs]
         if rng.random() < hard_frac:
@@ -114,12 +116,8 @@ def assert_state_matches_scratch(state: SearchState, tol: float = 1e-6) -> None:
     assert state.sat_count_soft == scratch.sat_count_soft
     assert as_set(state.falsified_hard) == as_set(scratch.falsified_hard)
     assert as_set(state.falsified_soft) == as_set(scratch.falsified_soft)
-    for cid, cnt in enumerate(state.sat_count_hard):
-        if cnt == 1:
-            assert state.sat_var_hard[cid] == scratch.sat_var_hard[cid]
-    for cid, cnt in enumerate(state.sat_count_soft):
-        if cnt == 1:
-            assert state.sat_var_soft[cid] == scratch.sat_var_soft[cid]
+    assert state.sat_xor_hard == scratch.sat_xor_hard
+    assert state.sat_xor_soft == scratch.sat_xor_soft
     assert state.softdelta == scratch.softdelta
     for v in range(1, f.num_vars + 1):
         assert abs(state.hscore[v] - scratch.hscore[v]) <= tol, (

@@ -43,6 +43,10 @@ INSTANCES = {
                          max_weight=1000),
     "unit-200": dict(min_vars=200, max_vars=200, min_clauses=800, max_clauses=800,
                      unit_weights=True),
+    # Clauses of up to 12 literals, enough of them to keep every run going:
+    # each run leaves thousands of clauses longer than 4 with one true
+    # literal (2 -> 1) and gives them a second (1 -> 2).
+    "long": dict(min_vars=30, max_vars=40, min_clauses=300, max_clauses=400, max_len=12),
 }
 
 
@@ -61,12 +65,12 @@ def assert_same_state(c: kernel.Walk, py: _PythonWalk) -> None:
     assert c.view(st.hscore, "d", vars_).tolist() == s.hscore
     assert c.view(st.softdelta, "q", vars_).tolist() == s.softdelta
     assert c.view(st.hard_weight, "d", st.hard.num_clauses).tolist() == s.hard_weight
-    for k, count, sat_var, fal in (
-            (st.hard, s.sat_count_hard, s.sat_var_hard, s.falsified_hard),
-            (st.soft, s.sat_count_soft, s.sat_var_soft, s.falsified_soft)):
+    for k, count, sat_xor, fal in (
+            (st.hard, s.sat_count_hard, s.sat_xor_hard, s.falsified_hard),
+            (st.soft, s.sat_count_soft, s.sat_xor_soft, s.falsified_soft)):
         m = k.num_clauses
         assert c.view(k.sat_count, "i", m).tolist() == count
-        assert c.view(k.sat_var, "i", m).tolist() == sat_var
+        assert c.view(k.sat_xor, "i", m).tolist() == sat_xor
         assert c.view(k.falsified, "i", k.num_falsified).tolist() == fal.members
         assert c.view(k.falsified_pos, "i", m).tolist() == fal.pos
     assert c.view(st.goodvars, "i", st.num_goodvars).tolist() == s.goodvars.members
@@ -210,7 +214,7 @@ def carved(walk: kernel.Walk):
     for k, clauses in ((st.hard, f.hard), (st.soft, f.soft)):
         m = k.num_clauses
         out += [(k.occ_off, 4 * (2 * vars_ + 1)), (k.occ, 4 * len(clauses.lits)),
-                (k.sat_count, 4 * m), (k.sat_var, 4 * m),
+                (k.sat_count, 4 * m), (k.sat_xor, 4 * m),
                 (k.falsified, 4 * m), (k.falsified_pos, 4 * m)]
     touched = len(f.hard.lits) + len(f.soft.lits) + vars_
     out += [(st.values, 4 * vars_), (st.flip_stamp, 8 * vars_), (st.hscore, 8 * vars_),
