@@ -121,6 +121,21 @@ def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
     )
 
 
+def _pooled(future, job: Tuple[str, str, SolverConfig]) -> RunRecord:
+    """The record of a job run in the pool. A worker that dies (a signal, an
+    exit from native code) breaks the pool: the job whose run it held and
+    every job not finished yet become error records, scored as a crashed
+    run is, and the records finished before are kept."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        path, label, cfg = job
+        return RunRecord(path, label, dict(vars(cfg)), None, None, [], 0, "error", 0.0,
+                         error="crash: worker process died")
+
+
 def aggregate(records: Sequence[RunRecord], bkc: Optional[Dict[str, int]] = None) -> dict:
     """Reduce run records to the comparison report.
 
@@ -218,7 +233,7 @@ def run_benchmark(
     The jobs run instance by instance, so that each process parses an
     instance once (see _load); each record's wall time and time limit
     still count that parse. With parallelism > 1 each (config, instance)
-    pair is a pool task of its own.
+    pair is a pool task of its own (see _pooled for a worker that dies).
     """
     global _last
     labels = [label for label, _ in configs]
@@ -240,7 +255,8 @@ def run_benchmark(
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                records = list(pool.map(_run_one, jobs))
+                futures = [pool.submit(_run_one, job) for job in jobs]
+                records = [_pooled(future, job) for future, job in zip(futures, jobs)]
         else:
             records = [_run_one(job) for job in jobs]
     finally:

@@ -2,11 +2,12 @@
  * weighting steps of search.solve in C.
  *
  * A straight port of decimation_init and random_init, SearchState's build,
- * state.flip (with refresh_candidacy and the IndexSet add/discard; each
- * clause keeps the XOR of its satisfying variables, sat_xor, so a flip
- * that leaves one true literal reads its variable without a scan),
- * search._best, pick_from_falsified, and weighting.spb_weighting and
- * decay_weights; and of bms_pick, which scores each distinct sample once
+ * state.flip (with refresh_candidacy and the IndexSet add/discard; one
+ * clause loop serves both sides of a flip, and each clause keeps the XOR of
+ * its satisfying variables, sat_xor, so a flip that leaves one true literal
+ * reads its variable without a scan), state._add_scores (shared by the
+ * build and decay_weights), search._best, pick_from_falsified, and
+ * weighting.spb_weighting and decay_weights; and of bms_pick, which scores each distinct sample once
  * and stops sampling a small candidate set once it has drawn all of it
  * (see bms_pick). The clause literals, offsets and soft weights are the
  * formula's own arrays, read in place; every other array is carved by
@@ -17,9 +18,9 @@
  *    the Python loops exactly, so floating-point sums round the same way
  *    (build with -ffp-contract=off: a fused multiply-add rounds once);
  *  - the same random numbers: CPython's MT19937, random() and
- *    randrange(), seeded as random.Random(seed) seeds it (kn_seed, which
- *    kernel.py calls once per seed); the words of BMS samples that cannot
- *    change a pick are skipped, not left undrawn. The twist computes four
+ *    randrange(), from the state words of random.Random(seed), which
+ *    kernel.py reads once per seed and kn_setup copies; the words of BMS
+ *    samples that cannot change a pick are skipped, not left undrawn. The twist computes four
  *    words at a time, and a pick from more than 64 candidates tempers and
  *    converts four samples at a time, in 16-byte vectors of GCC's vector
  *    extension, which clang shares (SSE2 on x86-64): the words and doubles
@@ -70,7 +71,7 @@ typedef struct {
     int64_t num_goodvars;
     int32_t *touched; /* scratch: total literals + num_vars + 1 entries */
     uint32_t *mt;     /* 624 state words, then the index */
-    const uint32_t *seeded;  /* the 625 words that kn_seed gives the seed */
+    const uint32_t *seeded;  /* random.Random(seed).getstate()[1]: 625 words */
     int64_t step, current_obj;
     int64_t has_bound, bound; /* the SPB bound: the best cost so far */
     double max_hard_weight, spb_weight;
@@ -131,42 +132,6 @@ static void mt_twist(uint32_t *mt)
         store4(mt + kk, twist4(mt + kk, mt + kk + (MT_M - MT_N)));
     mt[MT_N - 1] = twist1(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
     mt[MT_N] = 0;
-}
-
-/* CPython's random_seed for an int seed (init_genrand and init_by_array),
- * into the 625 words at mt: the key is the 32-bit words of abs(seed), least
- * significant first, read from its little-endian bytes. The index is left
- * at MT_N, so the first draw twists. kernel.py calls it once per seed and
- * hands kn_setup the words. */
-void kn_seed(uint32_t *mt, const uint8_t *key, int64_t words)
-{
-    mt[0] = 19650218U;
-    for (uint32_t n = 1; n < MT_N; n++)
-        mt[n] = 1812433253U * (mt[n - 1] ^ (mt[n - 1] >> 30)) + n;
-    int64_t i = 1, j = 0;
-    for (int64_t k = MT_N > words ? MT_N : words; k; k--) {
-        const uint8_t *b = key + 4 * j;
-        uint32_t word = b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + word + (uint32_t)j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-        if (j >= words)
-            j = 0;
-    }
-    for (int64_t k = MT_N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
-        i++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-    }
-    mt[0] = 0x80000000U; /* MSB is 1, so the state is not all zero */
-    mt[MT_N] = MT_N;
 }
 
 static inline uint32_t temper(uint32_t y)
@@ -277,53 +242,47 @@ static void refresh_all(kstate *s)
         refresh_var(s, (int32_t)v);
 }
 
-/* The per-kind loop of state.flip, for a kind whose weights have type W and
- * whose scores are kept in an array of the same type. v has just been set
- * to 1 - old; the variables whose score changed are appended to
- * s->touched from position nt, and the new end is returned. v's literal
- * turns true or false in each clause visited, so v is XORed into its
- * sat_xor: where one true literal is left, sat_xor is its variable, and no
- * clause is scanned. */
+/* state._flip_kind: one side of a flip in one clause kind, whose weights
+ * and scores have type W. v has just been flipped; slot is the occurrence
+ * list of the clauses where its literal turned true (made) or false. Each
+ * visit XORs v into the clause's sat_xor, so where one true literal is
+ * left, sat_xor is its variable and no clause is scanned. Besides v's
+ * literal, the clause has made ? n : n - 1 true literals, whose variables
+ * XOR to made ? x : x ^ v. With none, every variable's make weight and v's
+ * break weight move by -w (made) or +w; with one, that variable's break
+ * weight moves by +w or -w. The variables whose score changed are appended
+ * to s->touched from position nt; the new end is returned. Each call
+ * passes made as a constant, and always_inline lets the compiler fold the
+ * branches on it. */
 #define DEFINE_FLIP_KIND(NAME, W)                                                  \
-    static int64_t NAME(kstate *s, kind *c, const W *weight, W *scores, int32_t v, \
-                        int old, int64_t nt)                                       \
+    static inline __attribute__((always_inline)) int64_t                           \
+    NAME(kstate *s, kind *c, const W *weight, W *scores, int32_t v, int64_t slot,  \
+         int made, int64_t nt)                                                     \
     {                                                                              \
         const int32_t *lits = c->lits, *off = c->off;                              \
         int32_t *count = c->sat_count, *sat_xor = c->sat_xor, *t = s->touched;     \
-        int64_t made = 2 * (int64_t)v + !old, broken = 2 * (int64_t)v + old;       \
-        for (int32_t j = c->occ_off[made]; j < c->occ_off[made + 1]; j++) {        \
+        for (int32_t j = c->occ_off[slot]; j < c->occ_off[slot + 1]; j++) {        \
             int32_t cid = c->occ[j], n = count[cid], x = sat_xor[cid];             \
             sat_xor[cid] = x ^ v;                                                  \
-            count[cid] = n + 1;                                                    \
-            if (n == 0) {                                                          \
-                W w = weight[cid];                                                 \
-                set_discard(c->falsified, c->falsified_pos, &c->num_falsified, cid); \
-                for (int32_t l = off[cid]; l < off[cid + 1]; l++) {                \
-                    int32_t u = abs(lits[l]);                                      \
-                    scores[u] -= w;                                                \
-                    t[nt++] = u;                                                   \
-                }                                                                  \
-                scores[v] -= w;                                                    \
-            } else if (n == 1) {                                                   \
-                scores[x] += weight[cid];                                          \
-                t[nt++] = x;                                                       \
+            count[cid] = made ? n + 1 : n - 1;                                     \
+            if (!made) {                                                           \
+                n--;                                                               \
+                x ^= v;                                                            \
             }                                                                      \
-        }                                                                          \
-        for (int32_t j = c->occ_off[broken]; j < c->occ_off[broken + 1]; j++) {    \
-            int32_t cid = c->occ[j], n = count[cid], x = sat_xor[cid] ^ v;         \
-            sat_xor[cid] = x;                                                      \
-            count[cid] = n - 1;                                                    \
-            if (n == 1) {                                                          \
-                W w = weight[cid];                                                 \
-                set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
-                scores[v] += w;                                                    \
+            if (n == 0) {                                                          \
+                W w = made ? -weight[cid] : weight[cid];                           \
+                if (made)                                                          \
+                    set_discard(c->falsified, c->falsified_pos, &c->num_falsified, cid); \
+                else                                                               \
+                    set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid); \
                 for (int32_t l = off[cid]; l < off[cid + 1]; l++) {                \
                     int32_t u = abs(lits[l]);                                      \
                     scores[u] += w;                                                \
                     t[nt++] = u;                                                   \
                 }                                                                  \
-            } else if (n == 2) {                                                   \
-                scores[x] -= weight[cid];                                          \
+                scores[v] += w;                                                    \
+            } else if (n == 1) {                                                   \
+                scores[x] += made ? weight[cid] : -weight[cid];                    \
                 t[nt++] = x;                                                       \
             }                                                                      \
         }                                                                          \
@@ -333,16 +292,64 @@ static void refresh_all(kstate *s)
 DEFINE_FLIP_KIND(flip_hard, double)
 DEFINE_FLIP_KIND(flip_soft, int64_t)
 
+/* state.flip: each kind's made side, then its broken side. */
 static void flip(kstate *s, int32_t v)
 {
-    int old = s->values[v];
-    s->values[v] = 1 - old;
+    int now = s->values[v] = 1 - s->values[v];
     s->flip_stamp[v] = s->step++;
     s->current_obj -= s->softdelta[v];
-    int64_t nt = flip_hard(s, &s->hard, s->hard_weight, s->hscore, v, old, 0);
-    nt = flip_soft(s, &s->soft, s->soft_weight, s->softdelta, v, old, nt);
+    int64_t slot = 2 * (int64_t)v + now; /* the literal of v that is now true */
+    int64_t nt = flip_hard(s, &s->hard, s->hard_weight, s->hscore, v, slot, 1, 0);
+    nt = flip_hard(s, &s->hard, s->hard_weight, s->hscore, v, slot ^ 1, 0, nt);
+    nt = flip_soft(s, &s->soft, s->soft_weight, s->softdelta, v, slot, 1, nt);
+    nt = flip_soft(s, &s->soft, s->soft_weight, s->softdelta, v, slot ^ 1, 0, nt);
     refresh_candidacy(s, s->touched, nt);
 }
+
+/* Two functions per clause kind, whose weights and scores have type W.
+ * ADD is state._add_scores for one clause: flipping any variable of a
+ * falsified clause makes it, flipping the sole satisfying variable of a
+ * clause with one true literal breaks it. NAME is SearchState._build_kind:
+ * satisfied-literal counts, the XOR of each clause's satisfying variables
+ * (where the count is 1, the sole one), the falsified set in clause order
+ * and each clause's ADD, in one pass. NAME returns the falsified weight. */
+#define DEFINE_BUILD_KIND(NAME, ADD, W)                                            \
+    static inline void ADD(const kind *c, const W *weight, W *scores, int32_t cid) \
+    {                                                                              \
+        W w = weight[cid];                                                         \
+        if (c->sat_count[cid] == 0) {                                              \
+            for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++)                \
+                scores[abs(c->lits[l])] += w;                                      \
+        } else if (c->sat_count[cid] == 1) {                                       \
+            scores[c->sat_xor[cid]] -= w;                                          \
+        }                                                                          \
+    }                                                                              \
+                                                                                   \
+    static W NAME(kstate *s, kind *c, const W *weight, W *scores)                  \
+    {                                                                              \
+        W falsified = 0;                                                           \
+        c->num_falsified = 0;                                                      \
+        for (int32_t cid = 0; cid < c->num_clauses; cid++) {                       \
+            int32_t n = 0, x = 0;                                                  \
+            for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {              \
+                int t = lit_true(s->values, c->lits[l]);                           \
+                n += t;                                                            \
+                x ^= abs(c->lits[l]) & -t; /* no branch */                         \
+            }                                                                      \
+            c->sat_count[cid] = n;                                                 \
+            c->sat_xor[cid] = x;                                                   \
+            c->falsified_pos[cid] = -1;                                            \
+            if (n == 0) {                                                          \
+                set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
+                falsified += weight[cid];                                          \
+            }                                                                      \
+            ADD(c, weight, scores, cid);                                           \
+        }                                                                          \
+        return falsified;                                                          \
+    }
+
+DEFINE_BUILD_KIND(build_hard, add_scores_hard, double)
+DEFINE_BUILD_KIND(build_soft, add_scores_soft, int64_t)
 
 /* search._best's order: higher score, then the older flip stamp, then the
  * lower id. */
@@ -501,17 +508,10 @@ static void decay_weights(kstate *s)
         if (hw[cid] > s->max_hard_weight)
             s->max_hard_weight = hw[cid];
     }
-    /* state._add_scores over the hard clauses, from zero */
     for (int64_t v = 0; v <= s->num_vars; v++)
         s->hscore[v] = 0.0;
-    for (int64_t cid = 0; cid < h->num_clauses; cid++) {
-        if (h->sat_count[cid] == 0) {
-            for (int32_t l = h->off[cid]; l < h->off[cid + 1]; l++)
-                s->hscore[abs(h->lits[l])] += hw[cid];
-        } else if (h->sat_count[cid] == 1) {
-            s->hscore[h->sat_xor[cid]] -= hw[cid];
-        }
-    }
+    for (int32_t cid = 0; cid < h->num_clauses; cid++)
+        add_scores_hard(h, hw, s->hscore, cid);
     refresh_all(s);
 }
 
@@ -664,41 +664,6 @@ static void decimation_init(kstate *s)
     }
     s->values[0] = 0;
 }
-
-/* SearchState._build_kind for one kind: satisfied-literal counts, the XOR
- * of each clause's satisfying variables (where the count is 1, the sole
- * one), the falsified set in clause order, and each clause's
- * make/break weight added into scores (state._add_scores). Returns the
- * falsified weight. */
-#define DEFINE_BUILD_KIND(NAME, W)                                                 \
-    static W NAME(kstate *s, kind *c, const W *weight, W *scores)                  \
-    {                                                                              \
-        W falsified = 0;                                                           \
-        c->num_falsified = 0;                                                      \
-        for (int32_t cid = 0; cid < c->num_clauses; cid++) {                       \
-            int32_t n = 0, x = 0;                                                  \
-            for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++) {              \
-                int t = lit_true(s->values, c->lits[l]);                           \
-                n += t;                                                            \
-                x ^= abs(c->lits[l]) & -t; /* no branch */                         \
-            }                                                                      \
-            c->sat_count[cid] = n;                                                 \
-            c->sat_xor[cid] = x;                                                   \
-            c->falsified_pos[cid] = -1;                                            \
-            if (n == 0) {                                                          \
-                set_add(c->falsified, c->falsified_pos, &c->num_falsified, cid);   \
-                falsified += weight[cid];                                          \
-                for (int32_t l = c->off[cid]; l < c->off[cid + 1]; l++)            \
-                    scores[abs(c->lits[l])] += weight[cid];                        \
-            } else if (n == 1) {                                                   \
-                scores[x] -= weight[cid];                                          \
-            }                                                                      \
-        }                                                                          \
-        return falsified;                                                          \
-    }
-
-DEFINE_BUILD_KIND(build_hard, double)
-DEFINE_BUILD_KIND(build_soft, int64_t)
 
 /* The address p rounded up to a 64-byte boundary. */
 static inline uintptr_t align64(uintptr_t p)

@@ -17,13 +17,12 @@ and the CLI's solve and bench call load() before they start their clocks.
 parse() reads WCNF bytes into the arrays of two Clauses in one pass,
 growing them when kn_parse stops before a row that does not fit, or
 declines and leaves the text to the Python parser; it uses a library that
-is built already and never compiles one. start() hands the kernel the formula's own
-clause arrays, the Mersenne Twister words of the seed (which the kernel
-computes once per seed, as random.Random(seed) does) and one zeroed buffer
-that the kernel carves its arrays from (an anonymous mmap from ARENA_MMAP
-bytes on, whose pages the OS zeroes when they are first written); the
-kernel copies the words and builds the initial assignment and the search
-state.
+is built already and never compiles one. start() hands the kernel the
+formula's own clause arrays, the Mersenne Twister words of
+random.Random(seed) (read once per seed) and one zeroed buffer that the
+kernel carves its arrays from (an anonymous mmap from ARENA_MMAP bytes on,
+whose pages the OS zeroes when they are first written); the kernel copies
+the words and builds the initial assignment and the search state.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
 and layer_split() times its parts.
 """
@@ -35,6 +34,7 @@ import functools
 import importlib.machinery
 import mmap
 import os
+import random
 import re
 import struct
 import tempfile
@@ -161,8 +161,6 @@ def load() -> Optional[ctypes.CDLL]:
     lib.kn_advance.restype = _I
     lib.kn_parse.argtypes = [ctypes.c_char_p, _I, ctypes.POINTER(_Parsed)]
     lib.kn_parse.restype = _I
-    lib.kn_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p, _I]
-    lib.kn_seed.restype = None
     return lib
 
 
@@ -172,15 +170,11 @@ _load_calls = load.cache_info
 
 
 @functools.lru_cache(maxsize=64)  # suite runs start hundreds of walks from one seed
-def _seeded(lib: ctypes.CDLL, seed: int) -> array:
-    """The 625 Mersenne Twister words (state, then index) that kernel.c's
-    kn_seed computes from the 32-bit words of abs(seed), as random.Random(seed)
-    does. Shared between walks: kn_setup copies them and nothing writes them."""
-    seed = abs(seed)
-    words = max(1, -(-seed.bit_length() // 32))
-    mt = array("I", [0]) * MT_WORDS
-    lib.kn_seed(mt.buffer_info()[0], seed.to_bytes(4 * words, "little"), words)
-    return mt
+def _seeded(seed: int) -> array:
+    """The 625 Mersenne Twister words (state, then index) of
+    random.Random(seed). Shared between walks: kn_setup copies them and
+    nothing writes them."""
+    return array("I", random.Random(seed).getstate()[1])
 
 
 # _fit appends zeros from this block: a zero buffer as large as a growth
@@ -285,7 +279,7 @@ class Walk:
         f = self.formula = formula  # keeps the clause arrays alive
         self._lib = lib
         hard_delta, spb_delta = mode_deltas(cfg)
-        self._seeded = _seeded(lib, cfg.seed)
+        self._seeded = _seeded(cfg.seed)
         self.st = st = _State(num_vars=f.num_vars, k=cfg.k, decimation=cfg.init == "decimation",
                               h_inc=cfg.h_inc, hard_delta=hard_delta, spb_delta=spb_delta,
                               decay_threshold=cfg.decay_threshold, current_obj=f.soft_base,

@@ -73,8 +73,8 @@ class SolverConfig:
             raise ConfigError(f"unknown weighting mode {self.mode!r}")
         if self.init not in INITS:
             raise ConfigError(f"unknown init mode {self.init!r}")
-        # The kernel seeds from the int's words; random.Random would also
-        # take a str or a float, and seed them another way.
+        # An int, as the CLI's --seed is: random.Random would also take a
+        # str or a float, and seed them another way.
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an int, not {type(self.seed).__name__}")
         if self.k is not None and self.k < 1:
@@ -123,7 +123,8 @@ class SolveResult:
     improvement; best_cost is inf and best_assignment None when no feasible
     solution was found. backend is "c" when the C kernel built the start
     state and ran the search (a run of no flips included), "python" when
-    both ran in Python.
+    both ran in Python. An instance with an empty hard clause runs no
+    search: backend is then "c" when the kernel loaded.
     """
 
     def __init__(self, best_assignment: Optional[List[int]], best_cost: float,
@@ -162,11 +163,12 @@ def solve(
     both make the same flips.
     """
     cfg = (config or SolverConfig()).resolve(formula)
-    kernel.load()
+    lib = kernel.load()
     t0 = perf_counter()
 
     if formula.has_empty_hard:
-        return SolveResult(None, INF, [], 0, TERM_INFEASIBLE, cfg)
+        return SolveResult(None, INF, [], 0, TERM_INFEASIBLE, cfg,
+                           "python" if lib is None else "c")
 
     walk = kernel.start(formula, cfg)  # seeds its own Mersenne Twister
     if walk is None:

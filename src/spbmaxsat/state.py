@@ -212,52 +212,53 @@ def flip(state: SearchState, v: int) -> None:
         made_h, broken_h = state.occ_hard_pos[v], state.occ_hard_neg[v]
         made_s, broken_s = state.occ_soft_pos[v], state.occ_soft_neg[v]
     touched = []
-    _flip_kind(v, made_h, broken_h, state.hard_vars, state.hard_weight, state.hscore,
-               state.sat_count_hard, state.sat_xor_hard, state.falsified_hard, touched)
-    _flip_kind(v, made_s, broken_s, state.soft_vars, state.soft_weight, state.softdelta,
-               state.sat_count_soft, state.sat_xor_soft, state.falsified_soft, touched)
+    # Each side's arguments one by one: passing a tuple with * cost about
+    # 10% of a flip.
+    hv, hw, hs, hc, hx, hf = (state.hard_vars, state.hard_weight, state.hscore,
+                              state.sat_count_hard, state.sat_xor_hard, state.falsified_hard)
+    sv, sw, ss, sc, sx, sf = (state.soft_vars, state.soft_weight, state.softdelta,
+                              state.sat_count_soft, state.sat_xor_soft, state.falsified_soft)
+    _flip_kind(v, made_h, True, hv, hw, hs, hc, hx, hf, touched)
+    _flip_kind(v, broken_h, False, hv, hw, hs, hc, hx, hf, touched)
+    _flip_kind(v, made_s, True, sv, sw, ss, sc, sx, sf, touched)
+    _flip_kind(v, broken_s, False, sv, sw, ss, sc, sx, sf, touched)
     refresh_candidacy(state, touched)
 
 
-def _flip_kind(v, made, broken, clause_vars, weights, scores, count, sat_xor,
+def _flip_kind(v, clauses, made, clause_vars, weights, scores, count, sat_xor,
                falsified, touched) -> None:
-    """One clause kind's part of flip, after values[v] changed.
+    """One side of flip in one clause kind, after values[v] changed.
 
-    made holds the clauses of the kind where v's literal turned true, broken
-    those where it turned false. v is XORed into each one's sat_xor, so
-    where one true literal is left, sat_xor is its variable: no clause is
-    scanned. Appends every variable whose score changed to touched.
+    clauses are the kind's clauses where v's literal turned true (made) or
+    false (not made). v is XORed into each one's sat_xor, so where one true
+    literal is left, sat_xor is its variable: no clause is scanned. Besides
+    v's literal, the clause has n true literals, whose variables XOR to x.
+    With none, every variable's make weight and v's break weight move by -w
+    (made) or +w; with one, that variable's break weight moves by +w or -w.
+    Appends every variable whose score changed to touched.
     """
-    for cid in made:
+    for cid in clauses:
         n = count[cid]
         x = sat_xor[cid]
         sat_xor[cid] = x ^ v
-        count[cid] = n + 1
+        if made:
+            count[cid] = n + 1
+        else:
+            n -= 1
+            x ^= v
+            count[cid] = n
         if n == 0:
-            w = weights[cid]
-            falsified.discard(cid)
-            for u in clause_vars[cid]:
-                scores[u] -= w
-                touched.append(u)
-            scores[v] -= w
-        elif n == 1:
-            scores[x] += weights[cid]
-            touched.append(x)
-
-    for cid in broken:
-        n = count[cid]
-        x = sat_xor[cid] ^ v
-        sat_xor[cid] = x
-        count[cid] = n - 1
-        if n == 1:
-            w = weights[cid]
-            falsified.add(cid)
-            scores[v] += w
+            w = -weights[cid] if made else weights[cid]
+            if made:
+                falsified.discard(cid)
+            else:
+                falsified.add(cid)
             for u in clause_vars[cid]:
                 scores[u] += w
                 touched.append(u)
-        elif n == 2:
-            scores[x] -= weights[cid]
+            scores[v] += w
+        elif n == 1:
+            scores[x] += weights[cid] if made else -weights[cid]
             touched.append(x)
 
 

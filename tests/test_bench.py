@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -301,6 +303,32 @@ class TestOneParsePerInstance:
             else:
                 assert r["error"] is None and r["trace"] and r["termination"] != "error"
         assert len(records) == 6 and len(loads) == 2
+
+    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                        reason="the pool's workers must inherit the patched loader")
+    def test_dying_worker_gives_error_records_and_keeps_the_sweep(self, tmp_path, monkeypatch):
+        import spbmaxsat.bench as bench_mod
+
+        _write_instances(tmp_path, count=3)
+        dying = str(tmp_path / "inst2.wcnf")
+        load = bench_mod.load_wcnf
+
+        def load_or_die(path):
+            if path == dying:
+                os._exit(1)  # no exception: the worker process is gone
+            return load(path)
+
+        monkeypatch.setattr(bench_mod, "load_wcnf", load_or_die)
+        report = run_benchmark(tmp_path, self.CONFIGS, parallelism=2, out_dir=tmp_path / "out")
+        records = _records(tmp_path / "out")
+        assert len(records) == 9 and sorted(report["solvers"]) == ["adaptive", "base", "constant"]
+        died = [r for r in records if r["error"] is not None]
+        assert all(r["error"] == "crash: worker process died" and r["best_cost"] is None
+                   for r in died)
+        assert {r["label"] for r in died if r["instance"] == dying} == set(report["solvers"])
+        # The worker that took the first job of inst2 had finished a job before.
+        finished = [r for r in records if r["error"] is None]
+        assert finished and all(r["trace"] and r["instance"] != dying for r in finished)
 
     def test_file_rewritten_between_sweeps_is_read_again(self, tmp_path, loads):
         import spbmaxsat.bench as bench_mod

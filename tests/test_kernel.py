@@ -183,9 +183,9 @@ SEEDS = [0, 1, -1, -7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kernel_seeds_the_mersenne_twister_as_random_does(lib, seed):
-    """kn_seed ports CPython's random_seed: from abs(seed)'s 32-bit words,
-    one word or many, the state words and the index of Random(seed). The
-    walks of a seed share its words, which none of them changes."""
+    """A walk copies the state words and the index of Random(seed), from
+    seeds of one 32-bit word or many. The walks of a seed share those words
+    and never write them: after the walks below, they are still Random(seed)'s."""
     words = random.Random(seed).getstate()[1]
     empty = Formula(0, [], [])  # random init draws nothing
     walk = kernel.start(empty, SolverConfig(seed=seed, init="random", max_flips=0).resolve(empty))
@@ -194,7 +194,7 @@ def test_kernel_seeds_the_mersenne_twister_as_random_does(lib, seed):
     f = Formula(n, hard, soft)
     for init in INITS:  # compares the words after each init's draws
         start_both(f, SolverConfig(seed=seed, init=init, max_flips=0).resolve(f))
-    assert tuple(kernel._seeded(lib, seed)) == words
+    assert tuple(kernel._seeded(seed)) == words
 
 
 @pytest.mark.parametrize("seed", [-3, 2**70 + 1])

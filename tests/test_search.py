@@ -119,11 +119,16 @@ class TestSolve:
         assert result.best_cost == 0
         assert result.termination == "optimum"
 
-    def test_empty_hard_clause_infeasible(self):
+    @pytest.mark.parametrize("kernel_off", [False, True])
+    def test_empty_hard_clause_infeasible(self, monkeypatch, kernel_off):
+        if kernel_off:
+            monkeypatch.setattr(kernel, "load", lambda: None)
         f = parse_wcnf("h 0\n1 1 0\n")
         result = solve(f, SolverConfig(max_flips=100, seed=1))
         assert not result.feasible
         assert result.termination == "infeasible"
+        # No search runs, but the backend is the one that would have.
+        assert result.backend == ("python" if kernel.load() is None else "c")
 
     def test_trace_strictly_decreasing_and_feasible_records(self):
         rng = random.Random(51)
