@@ -7,9 +7,9 @@ import json
 import os
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .formula import INF, Formula, ParseError, load_wcnf
+from .formula import INF, ParseError, load_wcnf
 from .search import ConfigError, SolveResult, SolverConfig, solve
 
 WCNF_SUFFIXES = (".wcnf", ".cnf", ".dimacs")
@@ -71,69 +71,57 @@ def compute_wins(costs: Dict[str, Dict[str, Optional[int]]]) -> Dict[str, int]:
     return wins
 
 
-# The instance that _run_one loaded last in this process: (path, its Formula
-# or its load error message, the seconds the load took). run_benchmark runs
-# an instance's jobs one after another and empties this when it starts and
-# ends, so that a sweep parses each instance once per process.
-_last: Optional[Tuple[str, Union[Formula, str], float]] = None
-
-
-def _load(path: str) -> Tuple[Union[Formula, str], float]:
-    """The Formula of the instance at path, or its load error message, and
-    the seconds its load took, from the one-entry cache _last."""
-    global _last
-    if _last is None or _last[0] != path:
-        t0 = perf_counter()
-        try:
-            loaded = load_wcnf(path)
-        except (ParseError, OSError, UnicodeDecodeError) as exc:
-            loaded = f"unreadable: {exc}"
-        _last = (path, loaded, perf_counter() - t0)
-    return _last[1], _last[2]
-
-
-def _run_one(job: Tuple[str, str, SolverConfig]) -> RunRecord:
-    path, label, cfg = job
-    formula, parse_s = _load(path)
-    t0 = perf_counter() - parse_s  # a cached load still counts its parse
-    if isinstance(formula, str):
-        return RunRecord(path, label, {}, None, None, [], 0, "error",
-                         perf_counter() - t0, error=formula, skipped=True)
-    if cfg.cutoff_seconds is not None:
-        # The time limit covers parsing: the search gets what is left.
-        cfg = cfg.replace(cutoff_seconds=max(0.0, cfg.cutoff_seconds - (perf_counter() - t0)))
+def _run_instance(path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[RunRecord]:
+    """The record of each config run on the instance at path, in config
+    order. The instance is parsed once; each record's wall time and time
+    limit count that parse, as if the run had parsed the file itself."""
+    t0 = perf_counter()
     try:
-        result: SolveResult = solve(formula, cfg)
-    except Exception as exc:  # a crashed run scores as no-feasible
-        return RunRecord(path, label, dict(vars(cfg)), None, None, [], 0, "error",
-                         perf_counter() - t0, error=f"crash: {exc}")
-    feasible = result.feasible
-    return RunRecord(
-        instance=path,
-        label=label,
-        config=dict(vars(result.config)),
-        best_cost=int(result.best_cost) if feasible else None,
-        time_to_best=result.trace[-1][1] if feasible else None,
-        trace=list(result.trace),
-        flips=result.flips,
-        termination=result.termination,
-        wall_time=perf_counter() - t0,
-    )
+        formula = load_wcnf(path)
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        return [RunRecord(path, label, {}, None, None, [], 0, "error", perf_counter() - t0,
+                          error=f"unreadable: {exc}", skipped=True) for label, _ in configs]
+    parse_s = perf_counter() - t0
+    records = []
+    for label, cfg in configs:
+        t0 = perf_counter() - parse_s
+        if cfg.cutoff_seconds is not None:
+            # The time limit covers parsing: the search gets what is left.
+            cfg = cfg.replace(cutoff_seconds=max(0.0, cfg.cutoff_seconds - (perf_counter() - t0)))
+        try:
+            result: SolveResult = solve(formula, cfg)
+        except Exception as exc:  # a crashed run scores as no-feasible
+            records.append(RunRecord(path, label, dict(vars(cfg)), None, None, [], 0, "error",
+                                     perf_counter() - t0, error=f"crash: {exc}"))
+            continue
+        feasible = result.feasible
+        records.append(RunRecord(
+            instance=path,
+            label=label,
+            config=dict(vars(result.config)),
+            best_cost=int(result.best_cost) if feasible else None,
+            time_to_best=result.trace[-1][1] if feasible else None,
+            trace=list(result.trace),
+            flips=result.flips,
+            termination=result.termination,
+            wall_time=perf_counter() - t0,
+        ))
+    return records
 
 
-def _pooled(future, job: Tuple[str, str, SolverConfig]) -> RunRecord:
-    """The record of a job run in the pool. A worker that dies (a signal, an
-    exit from native code) breaks the pool: the job whose run it held and
-    every job not finished yet become error records, scored as a crashed
-    run is, and the records finished before are kept."""
+def _pooled(future, path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[RunRecord]:
+    """The records of an instance run in the pool. A worker that dies (a
+    signal, an exit from native code) breaks the pool: the instance whose
+    runs it held and every instance not finished yet get an error record
+    per config, scored as a crashed run is, and the records finished before
+    are kept."""
     from concurrent.futures.process import BrokenProcessPool
 
     try:
         return future.result()
     except BrokenProcessPool:
-        path, label, cfg = job
-        return RunRecord(path, label, dict(vars(cfg)), None, None, [], 0, "error", 0.0,
-                         error="crash: worker process died")
+        return [RunRecord(path, label, dict(vars(cfg)), None, None, [], 0, "error", 0.0,
+                          error="crash: worker process died") for label, cfg in configs]
 
 
 def aggregate(records: Sequence[RunRecord], bkc: Optional[Dict[str, int]] = None) -> dict:
@@ -230,12 +218,11 @@ def run_benchmark(
     and each config's instances in order. Labels must be unique: the
     report keys each instance's costs by label.
 
-    The jobs run instance by instance, so that each process parses an
-    instance once (see _load); each record's wall time and time limit
-    still count that parse. With parallelism > 1 each (config, instance)
-    pair is a pool task of its own (see _pooled for a worker that dies).
+    The instance is the unit of work (see _run_instance): it is parsed
+    once and runs every config. With parallelism > 1 each instance is a
+    pool task, on at most one worker per instance (see _pooled for a
+    worker that dies).
     """
-    global _last
     labels = [label for label, _ in configs]
     for label in labels:
         if labels.count(label) > 1:
@@ -244,25 +231,18 @@ def run_benchmark(
         configs = [(label, cfg.replace(cutoff_seconds=time_limit)
                     if cfg.cutoff_seconds is None and cfg.max_flips is None else cfg)
                    for label, cfg in configs]
-    jobs = [(path, label, cfg) for path in discover_instances(directory)
-            for label, cfg in configs]
+    paths = discover_instances(directory)
+    if parallelism > 1 and len(paths) > 1:
+        # Only here: importing multiprocessing costs every solve and
+        # serial bench process about 25 ms.
+        from concurrent.futures import ProcessPoolExecutor
 
-    _last = None  # a file may have changed since the last sweep
-    try:
-        if parallelism > 1 and len(jobs) > 1:
-            # Only here: importing multiprocessing costs every solve and
-            # one-job bench process about 25 ms.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                futures = [pool.submit(_run_one, job) for job in jobs]
-                records = [_pooled(future, job) for future, job in zip(futures, jobs)]
-        else:
-            records = [_run_one(job) for job in jobs]
-    finally:
-        _last = None
-    # Back to config by config: the records of config i are every len(configs)-th.
-    records = [r for i in range(len(configs)) for r in records[i::len(configs)]]
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(paths))) as pool:
+            futures = [pool.submit(_run_instance, path, configs) for path in paths]
+            runs = [_pooled(future, path, configs) for future, path in zip(futures, paths)]
+    else:
+        runs = [_run_instance(path, configs) for path in paths]
+    records = [rs[i] for i in range(len(configs)) for rs in runs]
 
     report = aggregate(records, bkc=bkc)
     if out_dir is not None:

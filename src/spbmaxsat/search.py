@@ -79,6 +79,8 @@ class SolverConfig:
             raise ConfigError(f"seed must be an int, not {type(self.seed).__name__}")
         if self.k is not None and self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.k is not None and self.k >= 2**63:  # the kernel holds k in an int64_t
+            raise ConfigError("k must be < 2**63")
         # Negated comparisons, so that NaN fails too.
         if self.h_inc is not None and not self.h_inc > 0:
             raise ConfigError("h_inc must be positive")

@@ -10,7 +10,7 @@ import pytest
 
 from spbmaxsat.bench import (
     RunRecord,
-    _run_one,
+    _run_instance,
     aggregate,
     compute_wins,
     format_report,
@@ -72,16 +72,16 @@ def test_record_json_is_the_asdict_json(tmp_path):
     _write_instances(tmp_path, count=1)
     (tmp_path / "bad.wcnf").write_text("p wcnf nope\n")
     cfg = SolverConfig(max_flips=500, seed=1)
-    solved = _run_one((str(tmp_path / "inst0.wcnf"), "S", cfg))
+    solved, = _run_instance(str(tmp_path / "inst0.wcnf"), [("S", cfg)])
     crashed = RunRecord("x.wcnf", "S", vars(cfg), None, None, [], 0, "error", 0.1,
                         error="crash: boom")
-    unreadable = _run_one((str(tmp_path / "bad.wcnf"), "S", cfg))
+    unreadable, = _run_instance(str(tmp_path / "bad.wcnf"), [("S", cfg)])
     assert solved.trace and unreadable.error
     # The record's config is the vars of the run's config: the resolved
     # one, or the one given when solve raises (here: no budget).
     assert solved.config == vars(cfg.resolve(load_wcnf(tmp_path / "inst0.wcnf")))
     unbudgeted = SolverConfig(seed=1)
-    failed = _run_one((str(tmp_path / "inst0.wcnf"), "S", unbudgeted))
+    failed, = _run_instance(str(tmp_path / "inst0.wcnf"), [("S", unbudgeted)])
     assert failed.error.startswith("crash: ") and failed.config == vars(unbudgeted)
     for record in (solved, crashed, unreadable, failed):
         assert record.to_json() == json.dumps(vars(record), sort_keys=True)
@@ -258,9 +258,7 @@ class TestOneParsePerInstance:
         assert sorted(loads) == report["instances"]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_records_keep_their_order_and_outcomes(self, tmp_path, monkeypatch, parallelism):
-        import spbmaxsat.bench as bench_mod
-
+    def test_records_keep_their_order_and_outcomes(self, tmp_path, parallelism):
         _write_instances(tmp_path, count=3)
         run_benchmark(tmp_path, self.CONFIGS, parallelism=parallelism, out_dir=tmp_path / "out")
         records = _records(tmp_path / "out")
@@ -270,9 +268,60 @@ class TestOneParsePerInstance:
         expected = []
         for label, cfg in self.CONFIGS:
             for path in instances:
-                monkeypatch.setattr(bench_mod, "_last", None)
-                expected.append(_fixed(json.loads(_run_one((path, label, cfg)).to_json())))
+                record, = _run_instance(path, [(label, cfg)])
+                expected.append(_fixed(json.loads(record.to_json())))
         assert [_fixed(r) for r in records] == expected
+
+    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                        reason="the pool's workers must inherit the patched loader")
+    def test_pooled_sweep_parses_each_instance_once(self, tmp_path, monkeypatch):
+        import spbmaxsat.bench as bench_mod
+
+        _write_instances(tmp_path, count=4)
+        log = tmp_path / "loads.txt"  # written by the workers, which share no list
+        load = bench_mod.load_wcnf
+
+        def logged(path):
+            with open(log, "a") as fh:
+                fh.write(path + "\n")
+            return load(path)
+
+        monkeypatch.setattr(bench_mod, "load_wcnf", logged)
+        report = run_benchmark(tmp_path, self.CONFIGS, parallelism=2)
+        assert sorted(log.read_text().splitlines()) == report["instances"]
+
+    @pytest.mark.parametrize("count, parallelism, workers", [(2, 32, [2]), (3, 2, [2]), (1, 4, [])])
+    def test_pool_has_at_most_one_worker_per_instance(self, tmp_path, monkeypatch, count,
+                                                      parallelism, workers):
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:
+            """Records its max_workers and runs each task at submit, in this
+            process: it starts no worker."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        _write_instances(tmp_path, count=count)
+        run_benchmark(tmp_path, self.CONFIGS, out_dir=tmp_path / "serial")
+        run_benchmark(tmp_path, self.CONFIGS, parallelism=parallelism, out_dir=tmp_path / "out")
+        assert started == workers
+        assert ([_fixed(r) for r in _records(tmp_path / "out")]
+                == [_fixed(r) for r in _records(tmp_path / "serial")])
 
     def test_unreadable_instance_gives_a_skipped_record_per_config(self, tmp_path, loads):
         (tmp_path / "bad.wcnf").write_text("p wcnf nope\n")
@@ -326,13 +375,11 @@ class TestOneParsePerInstance:
         assert all(r["error"] == "crash: worker process died" and r["best_cost"] is None
                    for r in died)
         assert {r["label"] for r in died if r["instance"] == dying} == set(report["solvers"])
-        # The worker that took the first job of inst2 had finished a job before.
+        # The worker that took inst2 had finished an instance before.
         finished = [r for r in records if r["error"] is None]
         assert finished and all(r["trace"] and r["instance"] != dying for r in finished)
 
     def test_file_rewritten_between_sweeps_is_read_again(self, tmp_path, loads):
-        import spbmaxsat.bench as bench_mod
-
         path = tmp_path / "inst.wcnf"
         path.write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
         first = run_benchmark(tmp_path, self.CONFIGS[:1])
@@ -340,4 +387,3 @@ class TestOneParsePerInstance:
         second = run_benchmark(tmp_path, self.CONFIGS[:1])
         assert [first["refs"][str(path)], second["refs"][str(path)]] == [2, 4]
         assert loads == [str(path)] * 2
-        assert bench_mod._last is None  # a sweep keeps no instance after it ends

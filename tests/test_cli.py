@@ -94,6 +94,11 @@ class TestSolveCommand:
         assert main(["solve", "/no/such/file.wcnf", "--k", "0"]) == 1
         assert capsys.readouterr().err == "error: k must be >= 1\n"
 
+    def test_k_beyond_int64_is_an_error(self, capsys):
+        # ctypes would wrap it into the kernel's int64_t without a word.
+        assert main(["solve", "/no/such/file.wcnf", "--k", str(2**63)]) == 1
+        assert capsys.readouterr().err == "error: k must be < 2**63\n"
+
     @pytest.mark.parametrize("flags, error", [
         (["--time-limit", "nan"], "cutoff_seconds must be >= 0"),
         (["--time-limit", "-1"], "cutoff_seconds must be >= 0"),

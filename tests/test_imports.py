@@ -80,6 +80,21 @@ def test_bench_import_loads_no_logging():
     assert loads("import spbmaxsat.bench", "logging") == []
 
 
+def test_serial_bench_loads_no_pool_code(tmp_path):
+    """bench imports the process pool only for a sweep that runs one:
+    concurrent.futures and multiprocessing cost a process about 25 ms."""
+    for name in ("f1.wcnf", "f2.wcnf"):
+        (tmp_path / name).write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
+    bench = ("import contextlib, io\nfrom spbmaxsat import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['bench', '--dir', {!r}, '--jobs', '{}', '--config',\n"
+             "                     'a=--max-flips 100;b=--max-flips 100 --seed 2']) == 0")
+    pool = ["concurrent.futures", "multiprocessing"]
+    assert loads(bench.format(str(tmp_path), 1), *pool) == []
+    # A pooled sweep loads both.
+    assert loads(bench.format(str(tmp_path), 2), *pool) == pool
+
+
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
     """The package's records are plain classes: dataclasses would load
     inspect, ast, dis and tokenize. The oracle loads at its first use."""

@@ -246,6 +246,8 @@ class TestConfig:
         f = Formula(1, [], [(1, [1])])
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, k=0).resolve(f)
+        with pytest.raises(ConfigError):  # the kernel holds k in an int64_t
+            SolverConfig(max_flips=1, k=2**63)
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, preset="nope").resolve(f)
         with pytest.raises(ConfigError):
