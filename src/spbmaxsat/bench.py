@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
+from collections.abc import Sequence
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formula import INF, ParseError, load_wcnf
 from .search import ConfigError, SolveResult, SolverConfig, solve
@@ -19,10 +18,10 @@ class RunRecord:
     """One (config, instance) execution, as persisted to runs.jsonl: its
     attributes are the JSON object's keys."""
 
-    def __init__(self, instance: str, label: str, config: dict, best_cost: Optional[int],
-                 time_to_best: Optional[float], trace: List[Tuple[int, float, int]],
+    def __init__(self, instance: str, label: str, config: dict, best_cost: int | None,
+                 time_to_best: float | None, trace: list[tuple[int, float, int]],
                  flips: int, termination: str, wall_time: float,
-                 error: Optional[str] = None, skipped: bool = False):
+                 error: str | None = None, skipped: bool = False):
         self.instance = instance
         self.label = label
         self.config = config
@@ -53,7 +52,7 @@ def mse_score(bkc: int, found) -> float:
     return (bkc + 1) / (found + 1)
 
 
-def compute_wins(costs: Dict[str, Dict[str, Optional[int]]]) -> Dict[str, int]:
+def compute_wins(costs: dict[str, dict[str, int | None]]) -> dict[str, int]:
     """Per-solver count of instances where it matched the best finite cost.
 
     Ties count for every tied solver; instances where no solver found a
@@ -71,7 +70,7 @@ def compute_wins(costs: Dict[str, Dict[str, Optional[int]]]) -> Dict[str, int]:
     return wins
 
 
-def _run_instance(path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[RunRecord]:
+def _run_instance(path: str, configs: Sequence[tuple[str, SolverConfig]]) -> list[RunRecord]:
     """The record of each config run on the instance at path, in config
     order. The instance is parsed once; each record's wall time and time
     limit count that parse, as if the run had parsed the file itself."""
@@ -109,7 +108,7 @@ def _run_instance(path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> Lis
     return records
 
 
-def _pooled(future, path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> List[RunRecord]:
+def _pooled(future, path: str, configs: Sequence[tuple[str, SolverConfig]]) -> list[RunRecord]:
     """The records of an instance run in the pool. A worker that dies (a
     signal, an exit from native code) breaks the pool: the instance whose
     runs it held and every instance not finished yet get an error record
@@ -124,7 +123,7 @@ def _pooled(future, path: str, configs: Sequence[Tuple[str, SolverConfig]]) -> L
                           error="crash: worker process died") for label, cfg in configs]
 
 
-def aggregate(records: Sequence[RunRecord], bkc: Optional[Dict[str, int]] = None) -> dict:
+def aggregate(records: Sequence[RunRecord], bkc: dict[str, int] | None = None) -> dict:
     """Reduce run records to the comparison report.
 
     The reference cost per instance comes from the bkc mapping when given
@@ -139,12 +138,12 @@ def aggregate(records: Sequence[RunRecord], bkc: Optional[Dict[str, int]] = None
     )
 
     labels = list(dict.fromkeys(r.label for r in records))
-    costs: Dict[str, Dict[str, Optional[int]]] = {}
+    costs: dict[str, dict[str, int | None]] = {}
     for r in records:
         costs.setdefault(r.instance, {})[r.label] = r.best_cost
 
     instances = sorted(costs)
-    refs: Dict[str, Optional[int]] = {}
+    refs: dict[str, int | None] = {}
     for inst in instances:
         ref = None
         if bkc is not None:
@@ -194,20 +193,18 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def discover_instances(directory) -> List[str]:
-    root = Path(directory)
-    return sorted(
-        str(p) for p in root.iterdir()
-        if p.is_file() and p.suffix.lower() in WCNF_SUFFIXES
-    )
+def discover_instances(directory) -> list[str]:
+    paths = (os.path.join(directory, name) for name in os.listdir(directory)
+             if os.path.splitext(name)[1].lower() in WCNF_SUFFIXES)
+    return sorted(p for p in paths if os.path.isfile(p))
 
 
 def run_benchmark(
     directory,
-    configs: Sequence[Tuple[str, SolverConfig]],
-    time_limit: Optional[float] = None,
+    configs: Sequence[tuple[str, SolverConfig]],
+    time_limit: float | None = None,
     parallelism: int = 1,
-    bkc: Optional[Dict[str, int]] = None,
+    bkc: dict[str, int] | None = None,
     out_dir=None,
 ) -> dict:
     """Execute every (config, instance) pair once and build the report.
@@ -246,11 +243,10 @@ def run_benchmark(
 
     report = aggregate(records, bkc=bkc)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "runs.jsonl", "w") as fh:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "runs.jsonl"), "w") as fh:
             for r in records:
                 fh.write(r.to_json() + "\n")
-        with open(out / "report.json", "w") as fh:
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     return report

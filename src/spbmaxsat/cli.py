@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from time import perf_counter
-from typing import List, Optional, Tuple
 
 from . import kernel
 from .common import MODES
@@ -41,7 +40,7 @@ def _config_from_args(args) -> SolverConfig:
     return SolverConfig(**given)
 
 
-def _parse_configs(specs: List[str]) -> List[Tuple[str, SolverConfig]]:
+def _parse_configs(specs: list[str]) -> list[tuple[str, SolverConfig]]:
     """Parse bench --config entries of the form "label=<solver flags>",
     several entries separated by ";"."""
     import shlex  # only here: solve does without it
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

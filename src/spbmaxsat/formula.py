@@ -7,7 +7,7 @@ CSR form: a flat array of literals plus clause offsets (see Clauses).
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 INF = float("inf")
 
@@ -21,14 +21,14 @@ MAX_VARS = 2**31 - 2
 class ParseError(ValueError):
     """WCNF syntax or semantic error, tagged with a kind and a line number."""
 
-    def __init__(self, kind: str, message: str, line_no: Optional[int] = None):
+    def __init__(self, kind: str, message: str, line_no: int | None = None):
         self.kind = kind
         self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(f"{prefix}{message}")
 
 
-def _normalize(literals: Iterable[int]) -> Optional[List[int]]:
+def _normalize(literals: Iterable[int]) -> list[int] | None:
     """Deduplicate literals; return None for tautologies (x and -x present)."""
     seen = dict.fromkeys(literals)
     for lit in seen:
@@ -62,7 +62,7 @@ class Clauses:
         self.empty = self.dropped = self.total = self.max_var = self.max_weight = 0
         self._rows = self._vars = self._occ = None
 
-    def add(self, lits: List[int], weight: int = 1, num_vars: Optional[int] = None) -> None:
+    def add(self, lits: list[int], weight: int = 1, num_vars: int | None = None) -> None:
         """Check one clause row, a list of literals, and append it,
         normalized. Its variables must lie in [1, num_vars], or in
         [1, MAX_VARS] when num_vars is None (no count declared). A row with
@@ -115,7 +115,7 @@ class Clauses:
     __hash__ = None
 
     @property
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         """Each clause as a tuple of literals."""
         if self._rows is None:
             lits, off = self.lits.tolist(), self.off.tolist()
@@ -123,7 +123,7 @@ class Clauses:
         return self._rows
 
     @property
-    def vars(self) -> Tuple[Tuple[int, ...], ...]:
+    def vars(self) -> tuple[tuple[int, ...], ...]:
         """Each clause as a tuple of its variables."""
         if self._vars is None:
             self._vars = tuple(tuple(map(abs, lits)) for lits in self.rows)
@@ -134,8 +134,8 @@ class Clauses:
         with literal -v, in clause order: a (positive, negative) pair.
         Rebuilt when asked for another variable count than the cached one."""
         if self._occ is None or len(self._occ[0]) != num_vars + 1:
-            pos: List[List[int]] = [[] for _ in range(num_vars + 1)]
-            neg: List[List[int]] = [[] for _ in range(num_vars + 1)]
+            pos: list[list[int]] = [[] for _ in range(num_vars + 1)]
+            neg: list[list[int]] = [[] for _ in range(num_vars + 1)]
             for cid, lits in enumerate(self.rows):
                 for lit in lits:
                     (pos if lit > 0 else neg)[abs(lit)].append(cid)
@@ -173,7 +173,7 @@ class Formula:
         self,
         num_vars: int,
         hard: Iterable[Sequence[int]],
-        soft: Iterable[Tuple[int, Sequence[int]]],
+        soft: Iterable[tuple[int, Sequence[int]]],
     ):
         if not 0 <= num_vars <= MAX_VARS:
             raise ValueError(f"num_vars must be in [0, {MAX_VARS}]")
@@ -220,7 +220,7 @@ class Formula:
         """True when every soft clause carries unit weight."""
         return self.max_soft_weight <= 1
 
-    def clause_satisfied(self, lits: Tuple[int, ...], values: Sequence[int]) -> bool:
+    def clause_satisfied(self, lits: tuple[int, ...], values: Sequence[int]) -> bool:
         for lit in lits:
             if values[lit] if lit > 0 else not values[-lit]:
                 return True

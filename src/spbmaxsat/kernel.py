@@ -19,35 +19,34 @@ growing them when kn_parse stops before a row that does not fit, or
 declines and leaves the text to the Python parser; it uses a library that
 is built already and never compiles one. start() hands the kernel the
 formula's own clause arrays, the Mersenne Twister words of
-random.Random(seed) (read once per seed) and one zeroed buffer that the
-kernel carves its arrays from (an anonymous mmap from ARENA_MMAP bytes on,
-whose pages the OS zeroes when they are first written); the kernel copies
-the words and builds the initial assignment and the search state.
+random.Random(seed) (read once per seed from _random.Random, its C base
+class, to which it hands an int seed as it is) and one zeroed buffer that
+the kernel carves its arrays from (an anonymous mmap from ARENA_MMAP bytes
+on, whose pages the OS zeroes when they are first written); the kernel
+copies the words and builds the initial assignment and the search state.
 Its run is flip for flip the Python one; tests/test_kernel.py checks it,
-and layer_split() times its parts.
+and layer_split() times its parts. A run from a cached library imports
+no random, mmap only for an arena that large, and none of what _build
+imports.
 """
 from __future__ import annotations
 
-import contextlib
+import _random
 import ctypes
 import functools
 import importlib.machinery
-import mmap
 import os
-import random
 import re
 import struct
-import tempfile
 import zlib
 from array import array
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
 
 from .common import DECAY_FACTOR, EPS, mode_deltas
 from .formula import INF, MAX_VARS, Clauses, Formula
 
-SOURCE = Path(__file__).with_name("kernel.c")
-_TEXT = SOURCE.read_bytes()  # read once: the cache key and the layout come from it
+SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
+with open(SOURCE, "rb") as _fh:
+    _TEXT = _fh.read()  # read once: the cache key and the layout come from it
 # -ffp-contract=off: a fused multiply-add would round differently from Python.
 # The -D constants are the Python reference's own values.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-DEPS={EPS!r}",
@@ -67,27 +66,27 @@ _FULL = 2  # kn_parse's return when a row does not fit
 _SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
 
-def _layout(text: str) -> Tuple[Tuple[str, ...], Dict[str, type]]:
+def _layout(text: str) -> tuple[tuple[str, ...], dict[str, type]]:
     """The part names of the PART_ enum in kernel.c's text, and a ctypes
     class per typedef struct, in the forms that kernel.c lists beside them."""
     text = re.sub(r"/\*.*?\*/|//[^\n]*", " ", text, flags=re.S)
     enum = re.search(r"enum\s*\{((?:\s*PART_\w+\s*,)*)\s*PARTS\s*\}", text)
     if enum is None:
-        raise ValueError(f"{SOURCE.name}: no enum {{ PART_..., PARTS }} that can be read")
+        raise ValueError("kernel.c: no enum { PART_..., PARTS } that can be read")
     parts = tuple(p.lower() for p in re.findall(r"PART_(\w+)", enum.group(1)))
-    structs: Dict[str, type] = {}
+    structs: dict[str, type] = {}
     for body, name in re.findall(r"typedef\s+struct\s*\{([^{}]*)\}\s*(\w+)\s*;", text):
         fields = []
         for decl in filter(str.strip, body.split(";")):
             m = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*)", decl, re.S)
             if m is None:
-                raise ValueError(f"{SOURCE.name}: cannot read {decl.strip()!r}")
+                raise ValueError(f"kernel.c: cannot read {decl.strip()!r}")
             base = _SCALARS.get(m.group(1)) or structs.get(m.group(1))
             for d in m.group(2).split(","):
                 n = re.fullmatch(r"\s*(\**)\s*(\w+)\s*(\[\s*PARTS\s*\])?\s*", d)
                 ctype = ctypes.c_void_p if n and n.group(1) else base
                 if n is None or ctype is None:
-                    raise ValueError(f"{SOURCE.name}: cannot read {decl.strip()!r}")
+                    raise ValueError(f"kernel.c: cannot read {decl.strip()!r}")
                 fields.append((n.group(2), ctype * len(parts) if n.group(3) else ctype))
         structs[name] = type(name, (ctypes.Structure,), {"_fields_": fields})
     return parts, structs
@@ -99,60 +98,63 @@ _State, _Parsed = _STRUCTS["kstate"], _STRUCTS["parsed"]
 _I = ctypes.c_int64
 
 
-def library_path() -> Path:
+def library_path() -> str:
     """The library that $CC (default cc) builds from kernel.c with FLAGS."""
     return _library_path(os.environ.get("CC", "cc"))
 
 
 @functools.lru_cache(maxsize=None)  # each parse asks for it
-def _library_path(cc: str) -> Path:
+def _library_path(cc: str) -> str:
     # Two 32-bit checksums, not hashlib: importing hashlib loads OpenSSL, about
     # 4 MB of resident memory in every process that imports the solver.
     data = b"\0".join([_TEXT, " ".join(FLAGS).encode(), cc.encode()])
     key = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
-    return SOURCE.parent / "__pycache__" / f"kernel.{key}{suffix}"
+    return os.path.join(os.path.dirname(SOURCE), "__pycache__", f"kernel.{key}{suffix}")
 
 
-def _build(path: Path) -> None:
+def _build(path: str) -> None:
     """Compile kernel.c to path through a temporary file in its directory, so
     that a concurrent loader never sees a half-written library, then delete
     the stale libraries beside it."""
-    import shlex  # only here: a cached build needs neither
+    import contextlib  # only here: a cached build needs none of these
+    import shlex
     import subprocess
+    import tempfile
 
-    path.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=path.parent)
+    cache = os.path.dirname(path)
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=cache)
     os.close(fd)
     try:
         cc = shlex.split(os.environ.get("CC", "cc"))
         try:
-            subprocess.run([*cc, *FLAGS, "-o", tmp, str(SOURCE)], check=True,
+            subprocess.run([*cc, *FLAGS, "-o", tmp, SOURCE], check=True,
                            stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
         except subprocess.SubprocessError as exc:  # a failed or hung compile
-            raise OSError(f"cannot compile {SOURCE.name}: {exc}") from exc
+            raise OSError(f"cannot compile kernel.c: {exc}") from exc
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
     # Delete the libraries of other sources or flags (another key); those
     # of other interpreters with this key stay.
-    key = path.name.split(".")[1]
-    for old in path.parent.iterdir():
-        m = re.fullmatch(r"kernel\.([0-9a-f]{16})\..+", old.name)
+    key = os.path.basename(path).split(".")[1]
+    for name in os.listdir(cache):
+        m = re.fullmatch(r"kernel\.([0-9a-f]{16})\..+", name)
         if m and m.group(1) != key:
             with contextlib.suppress(OSError):  # gone already, or not ours to delete
-                old.unlink()
+                os.unlink(os.path.join(cache, name))
 
 
 @functools.lru_cache(maxsize=None)
-def load() -> Optional[ctypes.CDLL]:
+def load() -> ctypes.CDLL | None:
     """The kernel library, built on first use; None if it cannot be had."""
     try:
         path = library_path()
-        if not path.exists():
+        if not os.path.exists(path):
             _build(path)
-        lib = ctypes.CDLL(str(path))
+        lib = ctypes.CDLL(path)
     except (OSError, ValueError):  # ValueError: a $CC that shlex cannot split
         return None
     lib.kn_setup.argtypes = [ctypes.POINTER(_State), ctypes.c_void_p]
@@ -172,9 +174,9 @@ _load_calls = load.cache_info
 @functools.lru_cache(maxsize=64)  # suite runs start hundreds of walks from one seed
 def _seeded(seed: int) -> array:
     """The 625 Mersenne Twister words (state, then index) of
-    random.Random(seed). Shared between walks: kn_setup copies them and
-    nothing writes them."""
-    return array("I", random.Random(seed).getstate()[1])
+    random.Random(seed), read from its C base class. Shared between walks:
+    kn_setup copies them and nothing writes them."""
+    return array("I", _random.Random(seed).getstate())
 
 
 # _fit appends zeros from this block: a zero buffer as large as a growth
@@ -221,7 +223,7 @@ def _release_free_heap() -> None:
         pass
 
 
-def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
+def parse(data: bytes) -> tuple[int, Clauses, Clauses] | None:
     """The num_vars, hard and soft Clauses that formula.parse_wcnf builds
     from the WCNF text data, read by kernel.c's kn_parse; None when the
     kernel is not built, did not load or kn_parse declines (on any error,
@@ -233,7 +235,7 @@ def parse(data: bytes) -> Optional[Tuple[int, Clauses, Clauses]]:
     row's kind grow (see _wanted) and kn_parse goes on from that row; the
     slack is cut at the end.
     """
-    lib = load() if _load_calls().currsize or library_path().exists() else None
+    lib = load() if _load_calls().currsize or os.path.exists(library_path()) else None
     if lib is None:
         return None
     n, out = len(data), _Parsed()
@@ -279,18 +281,22 @@ class Walk:
         f = self.formula = formula  # keeps the clause arrays alive
         self._lib = lib
         hard_delta, spb_delta = mode_deltas(cfg)
-        self._seeded = _seeded(cfg.seed)
+        seeded = _seeded(cfg.seed)
         self.st = st = _State(num_vars=f.num_vars, k=cfg.k, decimation=cfg.init == "decimation",
                               h_inc=cfg.h_inc, hard_delta=hard_delta, spb_delta=spb_delta,
                               decay_threshold=cfg.decay_threshold, current_obj=f.soft_base,
                               soft_weight=f.soft_weights.buffer_info()[0],
-                              seeded=self._seeded.buffer_info()[0])
+                              seeded=seeded.buffer_info()[0])
         for kind, clauses in ((st.hard, f.hard), (st.soft, f.soft)):
             kind.num_clauses = len(clauses)
             kind.lits = clauses.lits.buffer_info()[0]
             kind.off = clauses.off.buffer_info()[0]
         size = lib.kn_setup(st, None)
-        self.arena = mmap.mmap(-1, size) if size >= ARENA_MMAP else bytearray(size)
+        if size >= ARENA_MMAP:
+            import mmap  # only here: a suite of small solves needs none
+            self.arena = mmap.mmap(-1, size)
+        else:
+            self.arena = bytearray(size)
         self._base = ctypes.addressof(ctypes.c_char.from_buffer(self.arena))
         lib.kn_setup(st, self._base)
         self._values = self.view(st.values, "i", f.num_vars + 1)
@@ -310,7 +316,7 @@ class Walk:
         return self._values.tobytes()
 
     @staticmethod
-    def assignment(snapshot: bytes) -> List[int]:
+    def assignment(snapshot: bytes) -> list[int]:
         """The assignment list (index 0 unused) of a snapshot."""
         return memoryview(snapshot).cast("i").tolist()
 
@@ -319,13 +325,13 @@ class Walk:
         self.st.has_bound = cost != INF
         self.st.bound = int(cost) if self.st.has_bound else 0
 
-    def advance(self, n: int) -> Tuple[int, bool]:
+    def advance(self, n: int) -> tuple[int, bool]:
         """Run up to n flips, as pywalk._PythonWalk.advance does."""
         done = self._lib.kn_advance(self.st, n)
         return done, bool(self.st.optimum)
 
 
-def start(formula: Formula, cfg) -> Optional[Walk]:
+def start(formula: Formula, cfg) -> Walk | None:
     """A Walk from solve's start state, the initial assignment drawn as
     cfg.init says from a Mersenne Twister seeded with cfg.seed, or None when
     the kernel did not load or a count does not fit its 32-bit indices."""

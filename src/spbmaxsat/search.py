@@ -3,8 +3,8 @@ walk (the C kernel's, else the Python reference's in pywalk), keeps the
 best solution and tightens the soft-conflict bound."""
 from __future__ import annotations
 
+from collections.abc import Callable
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
 
 from . import kernel
 from .common import MODE_SPB, MODES
@@ -52,10 +52,10 @@ class SolverConfig:
     FIELDS = ("k", "h_inc", "delta", "mode", "decay_threshold", "cutoff_seconds",
               "max_flips", "seed", "init", "preset")
 
-    def __init__(self, k: Optional[int] = None, h_inc: Optional[float] = None,
-                 delta: Optional[float] = None, mode: str = MODE_SPB,
-                 decay_threshold: float = 1e7, cutoff_seconds: Optional[float] = None,
-                 max_flips: Optional[int] = None, seed: int = 1, init: str = "decimation",
+    def __init__(self, k: int | None = None, h_inc: float | None = None,
+                 delta: float | None = None, mode: str = MODE_SPB,
+                 decay_threshold: float = 1e7, cutoff_seconds: float | None = None,
+                 max_flips: int | None = None, seed: int = 1, init: str = "decimation",
                  preset: str = "auto"):
         self.k = k
         self.h_inc = h_inc
@@ -77,10 +77,10 @@ class SolverConfig:
         # str or a float, and seed them another way.
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an int, not {type(self.seed).__name__}")
-        if self.k is not None and self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.k is not None and self.k >= 2**63:  # the kernel holds k in an int64_t
-            raise ConfigError("k must be < 2**63")
+        # solve reads the clock every 1024 flips, and at k = 65536 a pick
+        # takes about 0.5 ms: a larger k would overrun a time limit by more.
+        if self.k is not None and not 1 <= self.k <= 65536:
+            raise ConfigError("k must be in [1, 65536]")
         # Negated comparisons, so that NaN fails too.
         if self.h_inc is not None and not self.h_inc > 0:
             raise ConfigError("h_inc must be positive")
@@ -129,8 +129,8 @@ class SolveResult:
     search: backend is then "c" when the kernel loaded.
     """
 
-    def __init__(self, best_assignment: Optional[List[int]], best_cost: float,
-                 trace: List[Tuple[int, float, int]], flips: int, termination: str,
+    def __init__(self, best_assignment: list[int] | None, best_cost: float,
+                 trace: list[tuple[int, float, int]], flips: int, termination: str,
                  config: SolverConfig, backend: str = "python"):
         self.best_assignment = best_assignment
         self.best_cost = best_cost
@@ -151,9 +151,9 @@ class SolveResult:
 
 def solve(
     formula: Formula,
-    config: Optional[SolverConfig] = None,
-    on_improvement: Optional[Callable[[int], None]] = None,
-    stop: Optional[Callable[[], bool]] = None,
+    config: SolverConfig | None = None,
+    on_improvement: Callable[[int], None] | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> SolveResult:
     """Run the local search until the flip or time budget is exhausted, or
     until stop() returns true; it is asked where the time is checked, every
@@ -180,7 +180,7 @@ def solve(
 
     best_cost = INF
     best_snapshot = None  # walk.snapshot() at the best cost: a list only at the end
-    trace: List[Tuple[int, float, int]] = []
+    trace: list[tuple[int, float, int]] = []
     max_flips = cfg.max_flips
     cutoff = cfg.cutoff_seconds
     flips = 0

@@ -90,14 +90,10 @@ class TestSolveCommand:
         assert rc != 0
         assert "error" in capsys.readouterr().err
 
-    def test_bad_value_reported_before_reading_instance(self, capsys):
-        assert main(["solve", "/no/such/file.wcnf", "--k", "0"]) == 1
-        assert capsys.readouterr().err == "error: k must be >= 1\n"
-
-    def test_k_beyond_int64_is_an_error(self, capsys):
-        # ctypes would wrap it into the kernel's int64_t without a word.
-        assert main(["solve", "/no/such/file.wcnf", "--k", str(2**63)]) == 1
-        assert capsys.readouterr().err == "error: k must be < 2**63\n"
+    @pytest.mark.parametrize("k", [0, 65537, 2**63])
+    def test_bad_value_reported_before_reading_instance(self, capsys, k):
+        assert main(["solve", "/no/such/file.wcnf", "--k", str(k)]) == 1
+        assert capsys.readouterr().err == "error: k must be in [1, 65536]\n"
 
     @pytest.mark.parametrize("flags, error", [
         (["--time-limit", "nan"], "cutoff_seconds must be >= 0"),
@@ -181,6 +177,24 @@ class TestSolveCommand:
         o, s, v = protocol_lines(out)
         assert s == ["s SATISFIABLE"] and len(v) == 1
         assert load_wcnf(path).cost([0, *map(int, v[0])]) == o[-1]
+
+    def test_largest_k_keeps_the_time_limit(self, tmp_path, capsys):
+        """From a random start, 20,000 unit soft clauses leave thousands of
+        candidates to every pick, so each draws all k samples: at the
+        largest k that SolverConfig takes, the 1024 flips between two reads
+        of the clock still end the run within a second of its limit."""
+        from spbmaxsat import kernel
+
+        if kernel.load() is None:
+            pytest.skip("the bound is set by the C kernel's pick")
+        path = tmp_path / "units.wcnf"
+        path.write_text("".join(f"1 {v} 0\n" for v in range(1, 20_001)))
+        t0 = time.perf_counter()
+        assert main(["solve", str(path), "--init", "random", "--k", "65536",
+                     "--time-limit", "0.5"]) == 0
+        assert time.perf_counter() - t0 < 1.5
+        err = capsys.readouterr().err
+        assert "termination=time" in err and " backend=c" in err
 
     def test_solve_restores_the_signal_handlers(self, f1_path, capsys):
         handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
@@ -275,7 +289,8 @@ class TestBenchCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("args, error", [
-        (["--config", "a=--max-flips 10 --k 0;b=--max-flips 10"], "k must be >= 1"),
+        (["--config", "a=--max-flips 10 --k 0;b=--max-flips 10"], "k must be in [1, 65536]"),
+        (["--config", "a=--max-flips 10;b=--max-flips 10 --k 65537"], "k must be in [1, 65536]"),
         (["--config", "nolabel --max-flips 10"],
          "bad --config entry 'nolabel --max-flips 10': expected label=<flags>"),
         (["--config", "a=--bogus"],
@@ -285,8 +300,8 @@ class TestBenchCommand:
         (["--config", 'a=--seed "1'],
          "bad --config entry 'a=--seed \"1': No closing quotation"),
         (["--time-limit", "nan"], "cutoff_seconds must be >= 0"),
-    ], ids=["bad-value", "no-label", "unknown-flag", "unparsable-value", "unbalanced-quote",
-            "nan-time-limit"])
+    ], ids=["bad-value", "k-too-large", "no-label", "unknown-flag", "unparsable-value",
+            "unbalanced-quote", "nan-time-limit"])
     def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, args, error):
         out_dir = tmp_path / "out"
         rc = main(["bench", "--dir", str(bench_dir(tmp_path)), "--out", str(out_dir), *args])

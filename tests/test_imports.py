@@ -11,11 +11,14 @@ from __future__ import annotations
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gen import random_parts, render_old
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "spbmaxsat").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -58,15 +61,28 @@ def test_package_loads_only_stdlib_modules():
 
 
 def loads(code: str, *modules: str) -> list:
-    """Which of modules a fresh process loads while it runs code."""
+    """Which of modules a fresh process loads while it runs code. The
+    process runs without site (-S): a .pth file in site-packages may
+    import any module before the probe starts, and hide its load."""
     probe = (f"import sys; before = set(sys.modules)\n{code}\n"
              f"found = sorted({set(modules)!r} & (set(sys.modules) - before)); "
              "import json; print(json.dumps(found))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     return json.loads(out)
+
+
+# What a cached kernel solve does without: annotations are strings (no
+# typing), paths are os.path strings (no pathlib), only a build imports
+# tempfile and contextlib, and the seed's words come from _random.
+BUILD_AND_ANNOTATION_MODULES = ["contextlib", "pathlib", "random", "tempfile", "typing"]
+# A probe's CLI run with its stdout swapped out by hand, as
+# contextlib.redirect_stdout would load contextlib.
+QUIET_CLI = ("import io\nfrom spbmaxsat import cli\n"
+             "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+             "assert cli.main({}) == 0\nsys.stdout = stdout")
 
 
 def test_cli_import_loads_neither_bench_nor_logging():
@@ -82,17 +98,19 @@ def test_bench_import_loads_no_logging():
 
 def test_serial_bench_loads_no_pool_code(tmp_path):
     """bench imports the process pool only for a sweep that runs one:
-    concurrent.futures and multiprocessing cost a process about 25 ms."""
+    concurrent.futures and multiprocessing cost a process about 25 ms. A
+    serial sweep loads none of BUILD_AND_ANNOTATION_MODULES either."""
     for name in ("f1.wcnf", "f2.wcnf"):
         (tmp_path / name).write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
-    bench = ("import contextlib, io\nfrom spbmaxsat import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    assert cli.main(['bench', '--dir', {!r}, '--jobs', '{}', '--config',\n"
-             "                     'a=--max-flips 100;b=--max-flips 100 --seed 2']) == 0")
+
+    def bench(jobs: int) -> str:
+        return QUIET_CLI.format(["bench", "--dir", str(tmp_path), "--jobs", str(jobs), "--config",
+                                 "a=--max-flips 100;b=--max-flips 100 --seed 2"])
+
     pool = ["concurrent.futures", "multiprocessing"]
-    assert loads(bench.format(str(tmp_path), 1), *pool) == []
+    assert loads(bench(1), *pool, *BUILD_AND_ANNOTATION_MODULES) == []
     # A pooled sweep loads both.
-    assert loads(bench.format(str(tmp_path), 2), *pool) == pool
+    assert loads(bench(2), *pool) == pool
 
 
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
@@ -128,10 +146,29 @@ def test_kernel_solve_loads_neither_the_python_parser_nor_shlex(tmp_path):
         pytest.skip("the C kernel did not build or load")
     path = tmp_path / "f.wcnf"
     path.write_text("p wcnf 2 3 10\n10 1 2 0\n2 -1 0\n5 -2 0\n")
-    solve = ("import contextlib, io\nfrom spbmaxsat import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    assert cli.main(['solve', {str(path)!r}, '--max-flips', '100']) == 0")
+    solve = QUIET_CLI.format(["solve", str(path), "--max-flips", "100"])
     assert loads(solve, "spbmaxsat.pyparse", "shlex") == []
     # A declined text (a literal that only int() reads) is parsed in Python.
     declined = "from spbmaxsat import parse_wcnf\nassert parse_wcnf('h +1 0\\n').num_vars == 1"
     assert loads(declined, "spbmaxsat.pyparse") == ["spbmaxsat.pyparse"]
+
+
+@pytest.mark.parametrize("text, arena_mmap", [
+    (render_old(*random_parts(random.Random(1), min_vars=18)), False),
+    ("".join(f"1 {v} 0\n" for v in range(1, 20_001)), True),  # 1.6 MB of arena
+], ids=["suite-size", "mmap-arena"])
+def test_kernel_solve_loads_only_what_it_runs(tmp_path, text, arena_mmap):
+    """A solve in the cached kernel loads none of BUILD_AND_ANNOTATION_MODULES,
+    and mmap only for an arena of ARENA_MMAP bytes or more."""
+    from spbmaxsat import SolverConfig, kernel, parse_wcnf
+
+    if kernel.load() is None:
+        pytest.skip("the C kernel did not build or load")
+    f = parse_wcnf(text)
+    walk = kernel.start(f, SolverConfig(max_flips=0).resolve(f))
+    assert (len(walk.arena) >= kernel.ARENA_MMAP) == arena_mmap
+    path = tmp_path / "f.wcnf"
+    path.write_text(text)
+    solve = QUIET_CLI.format(["solve", str(path), "--max-flips", "100"])
+    expected = ["mmap"] if arena_mmap else []
+    assert loads(solve, *BUILD_AND_ANNOTATION_MODULES, "mmap") == expected

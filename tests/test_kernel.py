@@ -578,14 +578,14 @@ def test_second_process_uses_the_cached_build(tmp_path, instance, monkeypatch):
     assert backend == "c"
     built = sorted(p.name for p in (entry / "spbmaxsat" / "__pycache__").iterdir())
     monkeypatch.setenv("CC", str(cc))
-    assert built == [kernel.library_path().name]
+    assert built == [Path(kernel.library_path()).name]
     # The same $CC now fails any compile: the C backend comes from the cache.
     cc.write_text("#!/bin/sh\nexit 1\n")
     assert cli_solve(entry, instance, cc=str(cc)) == (first, "c")
 
 
 def test_cc_is_part_of_the_cache_key(monkeypatch):
-    def path(cc: str) -> Path:
+    def path(cc: str) -> str:
         monkeypatch.setenv("CC", cc)
         return kernel.library_path()
 
@@ -613,13 +613,13 @@ def test_build_deletes_the_libraries_of_other_sources(tmp_path, instance):
     entry = copy_package(tmp_path)
     cache = entry / "spbmaxsat" / "__pycache__"
     cache.mkdir()
-    stale = cache / f"kernel.{'0' * 16}{kernel.library_path().suffixes[-1]}"
+    stale = cache / f"kernel.{'0' * 16}{Path(kernel.library_path()).suffixes[-1]}"
     kept = [cache / "kernel.cpython-311.pyc", cache / "search.cpython-311.pyc"]
     for p in [stale, *kept]:
         p.write_bytes(b"")
     assert cli_solve(entry, instance)[1] == "c"
     assert sorted(p.name for p in cache.iterdir()) == \
-        sorted([kernel.library_path().name, *(p.name for p in kept)])
+        sorted([Path(kernel.library_path()).name, *(p.name for p in kept)])
 
 
 @pytest.mark.parametrize("old, new", [
@@ -631,7 +631,7 @@ def test_build_deletes_the_libraries_of_other_sources(tmp_path, instance):
     ("PART_FLIP, PART_SPB", "PART_FLIP = 2, PART_SPB"),
 ])
 def test_layout_reader_raises_on_a_form_it_does_not_know(old, new):
-    text = kernel.SOURCE.read_text()
+    text = Path(kernel.SOURCE).read_text()
     assert text.count(old) == 1, old
     with pytest.raises(ValueError):
         kernel._layout(text.replace(old, new))
@@ -643,7 +643,7 @@ def test_reordered_fields_in_kernel_c_run_the_same_flips(tmp_path, instance):
     expected, backend = cli_solve(PACKAGE.parent, instance)
     assert backend == "c"
     entry = copy_package(tmp_path)
-    source = entry / "spbmaxsat" / kernel.SOURCE.name
+    source = entry / "spbmaxsat" / Path(kernel.SOURCE).name
     text = source.read_text()
     for old, new in (("int64_t step, current_obj;", "int64_t current_obj, step;"),
                      ("double h_inc, hard_delta, spb_delta, decay_threshold;",

@@ -244,10 +244,10 @@ class TestConfig:
 
     def test_rejects_bad_k_and_preset(self):
         f = Formula(1, [], [(1, [1])])
-        with pytest.raises(ConfigError):
-            SolverConfig(max_flips=1, k=0).resolve(f)
-        with pytest.raises(ConfigError):  # the kernel holds k in an int64_t
-            SolverConfig(max_flips=1, k=2**63)
+        for k in (0, 65537, 2**63):  # a pick from a larger k outlasts a time check
+            with pytest.raises(ConfigError, match=r"k must be in \[1, 65536\]"):
+                SolverConfig(max_flips=1, k=k)
+        assert SolverConfig(max_flips=1, k=65536).k == 65536
         with pytest.raises(ConfigError):
             SolverConfig(max_flips=1, preset="nope").resolve(f)
         with pytest.raises(ConfigError):
